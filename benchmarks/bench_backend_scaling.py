@@ -13,7 +13,9 @@ Reading the numbers: the processes win scales with host cores.  On a
 single-core host the two backends necessarily tie (processes pays a
 small fork/pickle tax); from 2 cores up the processes backend pulls
 ahead, approaching min(p, cores)x on the compute-bound phase.  The JSON
-therefore records ``host_cores`` next to every timing.
+therefore records ``host_cores`` next to every timing, with the BLAS
+thread counts of the parent (which runs the ``threads`` ranks) and of
+each ``processes`` rank (pinned to one).
 
 Output: benchmarks/reports/backend_scaling.json (machine-readable, the
 perf-tracking artifact) plus the usual text report.
@@ -32,6 +34,8 @@ from _util import FULL, REPORT_DIR, fmt_table, write_report
 from repro.core.config import SampleAlignDConfig
 from repro.core.driver import sample_align_d
 from repro.datagen.rose import generate_family
+from repro.parcomp import run_spmd
+from repro.parcomp.blas import blas_threads
 
 BACKENDS = ("threads", "processes")
 
@@ -46,6 +50,10 @@ def _workload():
         track_alignment=False,
     )
     return fam.sequences
+
+
+def _rank_blas_threads(comm):
+    return blas_threads()
 
 
 def _measure(seqs, backend, n_procs, repeats):
@@ -71,6 +79,11 @@ def _measure(seqs, backend, n_procs, repeats):
 def run_backend_scaling(n_procs=4, repeats=2):
     seqs = _workload()
     cores = os.cpu_count() or 1
+    blas = {
+        "parent": blas_threads(),
+        "rank": run_spmd(1, _rank_blas_threads, backend="processes")
+        .results[0],
+    }
 
     walls, prints = {}, {}
     for backend in BACKENDS:
@@ -99,7 +112,8 @@ def run_backend_scaling(n_procs=4, repeats=2):
     )
     text = (
         f"Sample-Align-D backend scaling: N={len(seqs)} p={n_procs} "
-        f"host_cores={cores}\n\n{table}\n\n"
+        f"host_cores={cores} blas_threads(parent={blas['parent']}, "
+        f"rank={blas['rank']})\n\n{table}\n\n"
         f"identical alignments: {identical}\n"
         f"processes speedup over threads: {speedup:.2f}x "
         f"(>1 means processes wins; bounded by min(p, host_cores) "
@@ -115,6 +129,7 @@ def run_backend_scaling(n_procs=4, repeats=2):
             "repeats": repeats,
         },
         "host_cores": cores,
+        "blas_threads": blas,
         "wall_s": {b: walls[b] for b in BACKENDS},
         "sp": {b: prints[b]["sp"] for b in BACKENDS},
         "modeled_s": {b: prints[b]["modeled"] for b in BACKENDS},

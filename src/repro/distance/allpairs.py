@@ -226,14 +226,27 @@ def _estimator_signature(estimator: DistanceEstimator) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _input_digest(seqs: List[Sequence]) -> str:
+    """A content hash binding a store to its ordered input sequences."""
+    h = hashlib.sha256()
+    for seq in seqs:
+        for text in (seq.id, seq.residues):
+            blob = text.encode("utf-8")
+            h.update(len(blob).to_bytes(8, "little"))
+            h.update(blob)
+    return h.hexdigest()
+
+
 def _store_header(
-    n: int, est: DistanceEstimator, tile: int
+    seqs: List[Sequence], est: DistanceEstimator, tile: int
 ) -> dict:
+    n = len(seqs)
     return {
-        "version": 1,
+        "version": 2,
         "n": n,
         "n_pairs": condensed_size(n),
         "tile_pairs": tile,
+        "input": _input_digest(seqs),
         "estimator": getattr(est, "name", type(est).__name__),
         "signature": _estimator_signature(est),
     }
@@ -348,7 +361,7 @@ def all_pairs(
             bounds = _tile_bounds(n_pairs, tile_pairs, 1)
             if out == "memmap":
                 store, missing, bounds = _open_store(
-                    est, n, bounds,
+                    seqs, est, bounds,
                     _effective_tile(n_pairs, tile_pairs, 1), store_dir,
                 )
                 if missing is None:  # already consolidated
@@ -374,7 +387,7 @@ def all_pairs(
         bounds = _tile_bounds(n_pairs, tile_pairs, n_workers)
         if out == "memmap":
             store, missing, bounds = _open_store(
-                est, n, bounds,
+                seqs, est, bounds,
                 _effective_tile(n_pairs, tile_pairs, n_workers), store_dir,
             )
             if missing is None:
@@ -403,8 +416,8 @@ def all_pairs(
 
 
 def _open_store(
+    seqs: List[Sequence],
     est: DistanceEstimator,
-    n: int,
     bounds: List[Tuple[int, int]],
     tile: int,
     store_dir: Optional[Union[str, os.PathLike]],
@@ -419,7 +432,7 @@ def _open_store(
     if store_dir is None:
         store_dir = tempfile.mkdtemp(prefix="repro-tilestore-")
     store = TileStore(store_dir)
-    resuming = store.prepare(_store_header(n, est, tile))
+    resuming = store.prepare(_store_header(seqs, est, tile))
     if resuming and store.is_complete():
         return store, None, bounds
     missing = store.missing_tiles(bounds) if resuming else list(bounds)
@@ -453,7 +466,7 @@ def _all_pairs_cooperative_store(
             else store_dir
         )
         store = TileStore(root)
-        resuming = store.prepare(_store_header(n, est, tile))
+        resuming = store.prepare(_store_header(seqs, est, tile))
         complete = resuming and store.is_complete()
         missing = (
             []

@@ -15,10 +15,10 @@ that hard RAM wall into a disk-bandwidth curve:
 - :class:`TileStore` -- the crash-safe unit of the external-memory
   ``all_pairs``: per-tile files written atomically (temp + ``os.replace``
   in the style of :class:`repro.serve.store.ResultStore`), a header
-  binding the store to ``(n, estimator content-hash, tiling)``,
-  corruption-tolerant reads (a truncated or garbled tile is a miss, so
-  the rerun recomputes exactly that tile), and a completion marker that
-  short-circuits fully-computed stores.
+  binding the store to ``(n, input digest, estimator content-hash,
+  tiling)``, corruption-tolerant reads (a truncated or garbled tile is a
+  miss, so the rerun recomputes exactly that tile), and a completion
+  marker that short-circuits fully-computed stores.
 
 Tile wire format (one file per tile, ``tiles/<start>.tile``)::
 
@@ -291,9 +291,9 @@ class TileStore:
     """Disk-backed store of condensed distance tiles.
 
     One store holds the tiles of one ``all_pairs`` run: the header binds
-    it to ``(n, estimator signature, tile size)`` so a re-run with the
-    same configuration resumes (present, valid tiles are skipped) while
-    any configuration change wipes the stale tiles first.  Workers on
+    it to ``(n, input digest, estimator signature, tile size)`` so a
+    re-run with the same input and configuration resumes (present, valid
+    tiles are skipped) while any change wipes the stale tiles first.  Workers on
     any backend write tiles directly (atomic temp + ``os.replace``
     publishes, so a SIGKILLed worker can never leave a half-written
     tile behind) and return tile *ids* to the driver -- O(1) transport
@@ -329,8 +329,8 @@ class TileStore:
         """Bind the store to ``header``; returns True when resuming.
 
         A matching existing header keeps every present tile (resume);
-        a mismatch (different n, estimator signature, or tiling) wipes
-        tiles, consolidated vector and markers before re-binding.
+        a mismatch (different n, input, estimator signature, or tiling)
+        wipes tiles, consolidated vector and markers before re-binding.
         """
         self.root.mkdir(parents=True, exist_ok=True)
         existing = self.read_header()

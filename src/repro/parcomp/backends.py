@@ -56,6 +56,7 @@ from typing import (
     Union,
 )
 
+from repro.parcomp.blas import pin_worker_blas
 from repro.parcomp.comm import Fabric, SpmdAbort, Transport, VirtualComm
 from repro.parcomp.cost import CommEvent, CostModel, TimingLedger
 
@@ -326,6 +327,7 @@ def _process_rank_main(
     report_queue: Any,
 ) -> None:
     """Entry point of one rank process (module-level: spawn-picklable)."""
+    pin_worker_blas()
     transport = _ProcessRankTransport(
         rank, n_ranks, cost_model, inboxes, fail_event
     )

@@ -24,6 +24,7 @@ that waited on the lock could stall behind a long run and pile up work.
 
 from __future__ import annotations
 
+import logging
 import time
 from threading import Event, Thread
 from typing import TYPE_CHECKING
@@ -32,6 +33,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.pool.workers import WorkerPool
 
 __all__ = ["PoolSupervisor", "escalate"]
+
+_log = logging.getLogger("repro.pool")
 
 #: Missed heartbeat intervals before an idle worker counts as hung.
 _HUNG_BEATS = 10.0
@@ -56,6 +59,8 @@ class PoolSupervisor:
 
     def __init__(self, pool: "WorkerPool") -> None:
         self._pool = pool
+        #: Ticks that raised (logged, never propagated).
+        self.errors = 0
         self._stop = Event()
         self._thread = Thread(
             target=self._loop, name=f"{pool.name}-supervisor", daemon=True
@@ -76,8 +81,12 @@ class PoolSupervisor:
         while not self._stop.wait(interval):
             try:
                 self._tick()
-            except Exception:  # pragma: no cover - supervision never raises
-                pass
+            except Exception:  # supervision must outlive any one tick
+                self.errors += 1
+                _log.warning(
+                    "pool %s: supervisor tick failed", self._pool.name,
+                    exc_info=True,
+                )
 
     def _tick(self) -> None:
         pool = self._pool

@@ -52,6 +52,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.parcomp.backends import SpmdResult
+from repro.parcomp.blas import pin_worker_blas
 from repro.parcomp.comm import SpmdAbort, Transport, VirtualComm
 from repro.parcomp.cost import CommEvent, CostModel, TimingLedger
 from repro.pool.shm import (
@@ -333,6 +334,7 @@ def _worker_main(
     # A rank program must not open *another* pool inside a worker --
     # get_default_pool() refuses when this marker is set.
     os.environ["REPRO_POOL_IN_WORKER"] = "1"
+    blas_threads = pin_worker_blas()
     registry = SegmentRegistry(f"{pool_name}-w{slot}")
 
     stop_beat = threading.Event()
@@ -347,7 +349,7 @@ def _worker_main(
     )
     beat_thread.start()
 
-    result_q.put(("ready", slot, os.getpid()))
+    result_q.put(("ready", slot, os.getpid(), blas_threads))
     try:
         while True:
             try:
@@ -393,6 +395,7 @@ class _Slot:
     desired: bool = False  #: should be running (False after idle shrink)
     last_used: float = field(default_factory=time.monotonic)
     transport: Dict[str, int] = field(default_factory=dict)
+    blas_threads: Optional[int] = None  #: as the worker reported it
 
     @property
     def alive(self) -> bool:
@@ -602,11 +605,12 @@ class WorkerPool:
         )
         proc.start()
         slot.proc = proc
+        slot.blas_threads = None
         slot.desired = True
         slot.last_used = time.monotonic()
 
     def _ensure_workers(self, n: int) -> None:
-        """Slots ``0..n-1`` running and heart-beating (rank r = slot r)."""
+        """Slots ``0..n-1`` running and ready (rank r = slot r)."""
         with self._state_lock:
             crashed = any(
                 s.proc is not None and not s.alive and s.proc.exitcode != 0
@@ -629,14 +633,47 @@ class WorkerPool:
                     self._absorb_transport(slot)
                     self._start_slot(i)
                     started.append(i)
+        self._await_ready(started)
+
+    def _await_ready(self, started: List[int]) -> None:
+        """Block until every slot in ``started`` has sent its "ready".
+
+        Called with the dispatch lock held and no run in flight, so any
+        other entry on the result queue is a straggler from an aborted
+        run.
+        """
         deadline = time.monotonic() + _READY_TIMEOUT_S
-        for i in started:
-            while self._heartbeats[i] == 0.0:
-                if not self._slots[i].alive or time.monotonic() > deadline:
-                    raise WorkerCrashError(
-                        f"worker {i} of pool {self.name!r} failed to start"
-                    )
-                time.sleep(0.005)
+        pending = set(started)
+        while pending:
+            try:
+                entry = self._result_q.get(timeout=_POLL_S)
+            except queue_mod.Empty:
+                for i in pending:
+                    if (not self._slots[i].alive
+                            or time.monotonic() > deadline):
+                        raise WorkerCrashError(
+                            f"worker {i} of pool {self.name!r} failed "
+                            "to start"
+                        )
+                continue
+            if self._note_ready(entry):
+                pending.discard(entry[1])
+            else:
+                for part in entry:
+                    unlink_wire(part)
+
+    def _note_ready(self, entry: Tuple[Any, ...]) -> bool:
+        """Record a worker's ``("ready", slot, pid, blas_threads)`` entry;
+        True when it comes from the slot's current process."""
+        if entry[0] != "ready":
+            return False
+        _, index, pid, blas_threads = entry
+        with self._state_lock:
+            slot = self._slots[index]
+            if slot.proc is None or slot.proc.pid != pid:
+                return False
+            slot.blas_threads = blas_threads
+            return True
 
     def _reap_slot(self, index: int) -> None:
         """Fold away a slot whose worker exited *cleanly* (idle shrink)."""
@@ -659,13 +696,13 @@ class WorkerPool:
         pool-wide: escalate every worker, drain what is drainable
         (unlinking shm wires), recreate every queue/event/heartbeat,
         sweep orphaned segments by name prefix, and restart the desired
-        slots.  Expensive, but crashes are the rare path and the result
-        is a provably clean substrate.
+        slots, waiting until each is ready.  Expensive, but crashes are
+        the rare path and the result is a provably clean substrate.
         """
         from repro.pool.supervisor import escalate
 
         with self._state_lock:
-            restarted = 0
+            restarted = []
             for slot in self._slots:
                 if slot.alive:
                     escalate(slot.proc)
@@ -688,8 +725,9 @@ class WorkerPool:
                 for slot in self._slots:
                     if slot.desired:
                         self._start_slot(slot.index)
-                        restarted += 1
-            self.respawns += restarted
+                        restarted.append(slot.index)
+            self.respawns += len(restarted)
+        self._await_ready(restarted)
 
     def _sweep_orphans(self) -> None:
         """Unlink pool-prefixed segments no live registry accounts for."""
@@ -995,10 +1033,14 @@ class WorkerPool:
                 "worker_pids": [
                     s.proc.pid for s in self._slots if s.alive
                 ],
+                "worker_blas_threads": [
+                    s.blas_threads for s in self._slots if s.alive
+                ],
                 "respawns": self.respawns,
                 "runs": self.runs,
                 "tasks_served": self.tasks_served,
                 "fallback_runs": self.fallback_runs,
+                "supervisor_errors": self._supervisor.errors,
                 "transport": transport.to_dict(),
                 "shm_live_segments": len(shm_dir_segments(self.name)),
                 "shm_bytes_in_flight": self._registry.live_bytes,

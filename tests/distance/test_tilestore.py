@@ -347,3 +347,31 @@ class TestAllPairsMemmap:
         all_pairs(family, "ktuple", out="memmap", store_dir=root, k=4)
         header2 = json.loads((root / "header.json").read_text())
         assert header2["signature"] != sig
+
+    @pytest.mark.parametrize("backend", [None, "processes"])
+    def test_store_binds_its_input(self, backend, tmp_path):
+        """Two different families of the same n share one store_dir:
+        the second run must not be served the first one's matrix."""
+        from repro.datagen.rose import generate_family
+
+        a, b = (
+            list(generate_family(
+                n_sequences=20, mean_length=60, relatedness=300, seed=seed,
+                track_alignment=False,
+            ).sequences)
+            for seed in (21, 22)
+        )
+        root = tmp_path / "s"
+        ii, jj = np.triu_indices(20, k=1)
+        workers = 2 if backend else None
+        # b, then a in reverse order: same residues, different pairs.
+        for seqs in (a, b, a[::-1], a):
+            got = all_pairs(
+                seqs, "ktuple", out="memmap", store_dir=root,
+                backend=backend, workers=workers,
+            )
+            want = all_pairs(seqs, "ktuple")[ii, jj]
+            assert got.condensed.tobytes() == want.tobytes()
+        header = json.loads((root / "header.json").read_text())
+        assert header["version"] == 2
+        assert len(header["input"]) == 64

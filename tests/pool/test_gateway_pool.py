@@ -8,6 +8,7 @@ import signal
 import pytest
 
 from repro.engine import AlignRequest
+from repro.parcomp.blas import blas_threads
 from repro.pool import WorkerPool, get_default_pool
 from repro.pool.shm import shm_dir_segments
 from repro.serve import AlignmentGateway
@@ -45,6 +46,10 @@ class TestCallerOwnedPool:
             assert stats["runs"] >= 1
             assert stats["workers_alive"] >= 1
             assert "transport" in stats and "respawns" in stats
+            pinned = None if blas_threads() is None else 1
+            assert stats["worker_blas_threads"] == (
+                [pinned] * stats["workers_alive"]
+            )
 
 
 class TestGatewayOwnedPool:

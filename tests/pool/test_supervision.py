@@ -8,6 +8,7 @@ assert the pool comes back with byte-identical results and a clean
 ``/dev/shm``.
 """
 
+import logging
 import os
 import signal
 import time
@@ -160,6 +161,35 @@ class TestIdleShrink:
             )
             # The next dispatch regrows transparently.
             assert own.run_spmd(3, _ring).results == [2, 0, 1]
+        finally:
+            own.close()
+        assert shm_dir_segments(own.name) == []
+
+
+class TestSupervisorErrors:
+    def test_failing_tick_is_logged_counted_and_survived(self, caplog):
+        own = WorkerPool(max_workers=1, heartbeat_interval=0.05)
+        sup = own._supervisor
+        real_tick = sup._tick
+        calls = []
+
+        def flaky_tick():
+            calls.append(None)
+            if len(calls) == 1:
+                raise RuntimeError("tick boom")
+            real_tick()
+
+        try:
+            with caplog.at_level(logging.WARNING, logger="repro.pool"):
+                sup._tick = flaky_tick
+                assert _wait_until(lambda: len(calls) >= 3)
+            assert own.stats()["supervisor_errors"] == 1
+            records = [r for r in caplog.records if r.name == "repro.pool"]
+            assert len(records) == 1
+            assert "supervisor tick failed" in records[0].getMessage()
+            assert records[0].exc_info[1].args == ("tick boom",)
+            # Supervision carries on after the failed tick.
+            assert own.run_spmd(1, _ring).results == [0]
         finally:
             own.close()
         assert shm_dir_segments(own.name) == []
