@@ -12,6 +12,11 @@ hard-asserts the two contracts the distance stage relies on:
   are single-threaded numpy on the same host, so the gate is
   host-independent, unlike wall-clock targets.
 
+One ungated row times the sequence-level entry the full-DP distance
+stage calls: ``global_align_batch`` (score stack read straight from
+residue codes) against per-pair ``global_align`` on K=128 rose pairs
+of length ~120, the ``clustalw-fulldp`` benchmark shape.
+
 Output: benchmarks/reports/kernel_batch.json plus the text report.
 """
 
@@ -28,6 +33,8 @@ from _util import FULL, REPORT_DIR, fmt_table, write_report
 
 from repro.align.batchdp import affine_align_batch, affine_score_batch
 from repro.align.dp import affine_align, affine_score
+from repro.align.pairwise import global_align, global_align_batch
+from repro.datagen.rose import generate_family
 
 #: (pairs, length) grid; the gated cell is (64, 200).
 GRID = [(16, 80), (64, 80), (64, 200), (128, 80), (128, 200)]
@@ -39,6 +46,9 @@ GAP_OPEN, GAP_EXT = 10.0, 0.5
 #: The issue-level gate: batched score kernel at K >= 64, L ~ 200.
 GATE_MIN_SPEEDUP = 3.0
 GATE_CELL = (64, 200)
+
+#: The ungated sequence-pair row: (pairs, mean length).
+SEQ_CELL = (128, 120)
 
 
 def _problems(K, L, seed):
@@ -62,6 +72,40 @@ def _best(fn, repeats):
         wall = time.perf_counter() - t0
         best = wall if best is None or wall < best else best
     return best, result
+
+
+def _sequence_pairs(K, L, seed):
+    """K pairs from one rose family (relatedness 800) of mean length L."""
+    n = 2
+    while n * (n - 1) // 2 < K:
+        n += 1
+    seqs = generate_family(n, L, 800, seed=seed).sequences
+    return [
+        (seqs[i], seqs[j]) for i in range(n) for j in range(i + 1, n)
+    ][:K]
+
+
+def _sequence_row(repeats):
+    K, L = SEQ_CELL
+    pairs = _sequence_pairs(K, L, seed=11)
+    wall_pair, per_pair = _best(
+        lambda: [global_align(x, y) for x, y in pairs], repeats
+    )
+    wall_batch, batched = _best(lambda: global_align_batch(pairs), repeats)
+    same = all(
+        a.score == b.score
+        and np.array_equal(a.x_map, b.x_map)
+        and np.array_equal(a.y_map, b.y_map)
+        for a, b in zip(per_pair, batched)
+    )
+    return {
+        "pairs": K,
+        "length": L,
+        "align_per_pair_wall_s": wall_pair,
+        "align_batched_wall_s": wall_batch,
+        "align_speedup": wall_pair / wall_batch,
+        "identical": same,
+    }
 
 
 def run_kernel_batch(repeats=3):
@@ -108,6 +152,9 @@ def run_kernel_batch(repeats=3):
             }
         )
 
+    seq_row = _sequence_row(repeats)
+    identical = identical and seq_row["identical"]
+
     gate_row = next(
         r
         for r in grid_rows
@@ -133,6 +180,12 @@ def run_kernel_batch(repeats=3):
     text = (
         f"batched vs per-pair DP kernels (best of {repeats}, "
         f"after warmup)\n\n{table}\n\n"
+        f"sequence pairs, global_align_batch vs global_align "
+        f"(K={seq_row['pairs']} rose pairs, L~{seq_row['length']}; "
+        f"no gate): {seq_row['align_speedup']:.2f}x, "
+        f"{seq_row['align_batched_wall_s'] * 1e3 / seq_row['pairs']:.3f} "
+        f"vs {seq_row['align_per_pair_wall_s'] * 1e3 / seq_row['pairs']:.3f}"
+        f" ms/pair\n"
         f"byte-identical results on every cell: {identical}\n"
         f"gate: score speedup at K={GATE_CELL[0]} L={GATE_CELL[1]} "
         f"= {gate_row['score_speedup']:.2f}x "
@@ -146,6 +199,7 @@ def run_kernel_batch(repeats=3):
         "gap_open": GAP_OPEN,
         "gap_extend": GAP_EXT,
         "grid": grid_rows,
+        "sequence_pairs": seq_row,
         "identical": identical,
         "gate": {
             "pairs": GATE_CELL[0],

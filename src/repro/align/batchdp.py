@@ -42,6 +42,18 @@ those bits with the same state machine and the same tie-break order
 (diagonal > vertical > horizontal), so paths are identical by
 construction.
 
+Two entries fill the padded score stack and share one chunk driver
+(degenerate-pair split, chunking, counters, forward fill, terminal
+pass, traceback).  The dense entry (:func:`affine_align_batch`,
+:func:`affine_score_batch`) copies K caller-built matrices -- PSP
+profile pairs, k-band's masked matrices.  The codes entry
+(:func:`affine_codes_batch`) serves sequence pairs, where every score
+is one substitution-table entry: it gathers each stack row straight
+from the residue codes, so no per-pair matrix is built and only one
+stack is held in memory (the dense entry also needs a pair-major copy
+to transpose from).  The forward loop reads the same float64 values
+either way.
+
 Memory is bounded: both modes keep O(K * n_max) float rows; alignment
 mode adds four bytes per padded cell, and the batch is chunked so the
 padded cell count stays under ``max_batch_cells`` (env
@@ -54,7 +66,7 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Any, List, Optional, Sequence as TSequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence as TSequence, Tuple
 
 import numpy as np
 
@@ -70,6 +82,7 @@ __all__ = [
     "DEFAULT_BATCH_PAIRS",
     "DEFAULT_MAX_BATCH_CELLS",
     "affine_align_batch",
+    "affine_codes_batch",
     "affine_score_batch",
     "dp_batch_pairs",
     "max_batch_cells_setting",
@@ -153,6 +166,12 @@ class _ScratchPool(threading.local):
 _scratch = _ScratchPool()
 
 
+def _is_scalar(value: Any) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) or (
+        isinstance(value, np.ndarray) and value.ndim == 0
+    )
+
+
 def _normalise_penalties(
     value: Any, lengths: TSequence[int], name: str
 ) -> List[np.ndarray]:
@@ -162,9 +181,7 @@ def _normalise_penalties(
     K per-pair specs, each a scalar or a length-``m_k`` vector (exactly
     what the scalar kernel accepts per call).
     """
-    if isinstance(value, (int, float, np.integer, np.floating)) or (
-        isinstance(value, np.ndarray) and value.ndim == 0
-    ):
+    if _is_scalar(value):
         return [np.full(length, float(value)) for length in lengths]
     specs = list(value)
     if len(specs) != len(lengths):
@@ -175,6 +192,55 @@ def _normalise_penalties(
     return [
         _as_vec(spec, length, name) for spec, length in zip(specs, lengths)
     ]
+
+
+class _Penalties:
+    """The four gap-penalty specs of a K-pair batch.
+
+    ``uniform`` is the ``(open_x, ext_x, open_y, ext_y)`` scalar tuple
+    when all four specs are plain scalars (the :class:`~repro.seq
+    .matrices.GapPenalties` hot path); no per-pair vectors are built
+    then, since the forward loop reads plain Python floats -- the same
+    values, so results are unchanged.  Otherwise ``vecs`` holds the
+    validated per-pair per-position vectors.
+    """
+
+    def __init__(
+        self,
+        gap_open: Any,
+        gap_extend: Any,
+        gap_open_y: Any,
+        gap_extend_y: Any,
+        ms: TSequence[int],
+        ns: TSequence[int],
+    ) -> None:
+        oy_raw = gap_open if gap_open_y is None else gap_open_y
+        ey_raw = gap_extend if gap_extend_y is None else gap_extend_y
+        self.ms, self.ns = ms, ns
+        self.uniform: Optional[Tuple[float, float, float, float]] = None
+        self.vecs: Optional[Tuple[List[np.ndarray], ...]] = None
+        if all(_is_scalar(v) for v in (gap_open, gap_extend, oy_raw, ey_raw)):
+            self.uniform = (
+                float(gap_open),
+                float(gap_extend),
+                float(oy_raw),
+                float(ey_raw),
+            )
+        else:
+            self.vecs = (
+                _normalise_penalties(gap_open, ms, "gap_open"),
+                _normalise_penalties(gap_extend, ms, "gap_extend"),
+                _normalise_penalties(oy_raw, ns, "gap_open_y"),
+                _normalise_penalties(ey_raw, ns, "gap_extend_y"),
+            )
+
+    def pair(self, k: int) -> Tuple[np.ndarray, ...]:
+        """Pair ``k``'s ``(open_x, ext_x, open_y, ext_y)`` vectors."""
+        if self.vecs is not None:
+            return tuple(v[k] for v in self.vecs)
+        ox, ex, oy, ey = self.uniform
+        m, n = self.ms[k], self.ns[k]
+        return np.full(m, ox), np.full(m, ex), np.full(n, oy), np.full(n, ey)
 
 
 def _chunk_bounds(
@@ -218,95 +284,76 @@ def _empty_score(
     tf: float,
 ) -> float:
     """Score of a degenerate pair (mirrors the scalar kernel's edge path)."""
-    if m == 0 and n == 0:
-        return 0.0
-    if m == 0:
-        return float(-tf * (open_y[0] + ext_y.sum())) if n else 0.0
-    return float(-tf * (open_x[0] + ext_x.sum()))
+    if m:
+        return float(-tf * (open_x[0] + ext_x.sum()))
+    if n:
+        return float(-tf * (open_y[0] + ext_y.sum()))
+    return 0.0
 
 
-def _empty_align(
-    m: int,
-    n: int,
-    open_x: np.ndarray,
-    ext_x: np.ndarray,
-    open_y: np.ndarray,
-    ext_y: np.ndarray,
-    tf: float,
-) -> AffineDPResult:
+def _empty_align(m: int, n: int, score: float) -> AffineDPResult:
     """Alignment of a degenerate pair (mirrors the scalar edge path)."""
     x_map = np.concatenate([np.arange(m), np.full(n, -1, dtype=np.int64)])
     y_map = np.concatenate([np.full(m, -1, dtype=np.int64), np.arange(n)])
-    score = 0.0
-    if m:
-        score = float(-tf * (open_x[0] + ext_x.sum()))
-    elif n:
-        score = float(-tf * (open_y[0] + ext_y.sum()))
     return AffineDPResult(score, x_map, y_map)
 
 
 class _PaddedBatch:
     """Length-padded pair-minor stack of K non-degenerate pair problems.
 
-    Holds the padded score stack ``S`` of shape ``(m_max, n_max, K)``
-    (filled pair-major with contiguous per-pair copies, then transposed
-    in one bulk pass so the row loop reads contiguous ``(n_max, K)``
-    slices), transposed padded penalty matrices, and per-pair exact
-    cumulative extension costs (computed in 1-D so they match the
-    scalar kernel bit for bit).
+    Holds the padded score stack ``S`` of shape ``(m_max, n_max, K)``,
+    so the row loop reads contiguous ``(n_max, K)`` slices, plus
+    per-pair exact cumulative extension costs (computed in 1-D so they
+    match the scalar kernel bit for bit) and, for non-uniform
+    penalties, transposed padded penalty matrices.  The constructor
+    sets up everything but ``S``; one of the two ``fill_*`` methods
+    then writes it.
 
-    ``uniform`` is the ``(open_x, ext_x, open_y, ext_y)`` scalar tuple
-    when every pair shares the same scalar penalties (the
-    :class:`~repro.seq.matrices.GapPenalties` hot path).  In that mode
+    ``uniform`` is the :attr:`_Penalties.uniform` tuple; in that mode
     the penalty matrices are skipped entirely and the forward loop uses
     plain Python floats -- the same values, so results are unchanged,
     with none of the padded-matrix fill cost.
     """
 
-    def __init__(
-        self,
-        S_list: TSequence[np.ndarray],
-        open_x: TSequence[np.ndarray],
-        ext_x: TSequence[np.ndarray],
-        open_y: TSequence[np.ndarray],
-        ext_y: TSequence[np.ndarray],
-        uniform: Optional[Tuple[float, float, float, float]] = None,
-    ) -> None:
-        K = len(S_list)
+    def __init__(self, pens: _Penalties, ks: TSequence[int]) -> None:
+        K = len(ks)
         self.K = K
-        self.ms = np.array([s.shape[0] for s in S_list], dtype=np.int64)
-        self.ns = np.array([s.shape[1] for s in S_list], dtype=np.int64)
+        self.ms = np.array([pens.ms[k] for k in ks], dtype=np.int64)
+        self.ns = np.array([pens.ns[k] for k in ks], dtype=np.int64)
         mmax = int(self.ms.max())
         nmax = int(self.ns.max())
         self.mmax, self.nmax = mmax, nmax
-        self.uniform = uniform
+        self.uniform = uniform = pens.uniform
 
         # Pooled buffers: padded cells keep whatever bytes the pool held
         # before -- safe, because padded cells are never read (see the
         # module docstring), and zero-filling them is pure overhead.
-        S_pm = _scratch.take("S_pm", (K, mmax, nmax))
-        cum_x_pm = _scratch.take("cum_x_pm", (K, mmax + 1))
-        cum_y_pm = _scratch.take("cum_y_pm", (K, nmax + 1))
-        cum_x_pm[:, 0] = 0.0
-        cum_y_pm[:, 0] = 0.0
+        self.S = _scratch.take("S", (mmax, nmax, K))
+        self.cum_x = _scratch.take("cum_x", (mmax + 1, K))
+        self.cum_y = _scratch.take("cum_y", (nmax + 1, K))
         if uniform is not None:
             # One shared cumsum per axis: ``np.cumsum`` accumulates
             # sequentially, so a prefix of the length-max cumsum is
             # bit-identical to each pair's own shorter cumsum.
             _ox, ex_s, _oy, ey_s = uniform
-            cum_x_pm[:, 1:] = np.cumsum(np.full(mmax, ex_s))
-            cum_y_pm[:, 1:] = np.cumsum(np.full(nmax, ey_s))
+            self.cum_x[0] = 0.0
+            self.cum_y[0] = 0.0
+            self.cum_x[1:] = np.cumsum(np.full(mmax, ex_s))[:, None]
+            self.cum_y[1:] = np.cumsum(np.full(nmax, ey_s))[:, None]
             self.OX = self.EX = self.OY = None
-            for k in range(K):
-                m, n = int(self.ms[k]), int(self.ns[k])
-                S_pm[k, :m, :n] = S_list[k]
         else:
+            open_x, ext_x, open_y, ext_y = (
+                [v[k] for k in ks] for v in pens.vecs
+            )
+            cum_x_pm = _scratch.take("cum_x_pm", (K, mmax + 1))
+            cum_y_pm = _scratch.take("cum_y_pm", (K, nmax + 1))
+            cum_x_pm[:, 0] = 0.0
+            cum_y_pm[:, 0] = 0.0
             OX_pm = _scratch.take("OX_pm", (K, mmax))
             EX_pm = _scratch.take("EX_pm", (K, mmax))
             OY_pm = _scratch.take("OY_pm", (K, nmax))
             for k in range(K):
                 m, n = int(self.ms[k]), int(self.ns[k])
-                S_pm[k, :m, :n] = S_list[k]
                 OX_pm[k, :m] = open_x[k]
                 EX_pm[k, :m] = ext_x[k]
                 OY_pm[k, :n] = open_y[k]
@@ -325,20 +372,61 @@ class _PaddedBatch:
             np.copyto(self.OX, OX_pm.T)
             np.copyto(self.EX, EX_pm.T)
             np.copyto(self.OY, OY_pm.T)
-        # One bulk transpose to the pair-minor layout the row loop
-        # reads; same values, so results are unchanged.
-        self.S = _scratch.take("S", (mmax, nmax, K))
-        np.copyto(self.S, S_pm.transpose(1, 2, 0))
-        self.cum_x = _scratch.take("cum_x", (mmax + 1, K))
-        self.cum_y = _scratch.take("cum_y", (nmax + 1, K))
-        np.copyto(self.cum_x, cum_x_pm.T)
-        np.copyto(self.cum_y, cum_y_pm.T)
+            np.copyto(self.cum_x, cum_x_pm.T)
+            np.copyto(self.cum_y, cum_y_pm.T)
         # Pairs grouped by row count: the forward loop captures each
         # pair's final row the moment row m_k is computed.
         self.by_m: dict = {}
         for k, m in enumerate(self.ms.tolist()):
             self.by_m.setdefault(int(m), []).append(k)
         self.by_m = {m: np.array(ks) for m, ks in self.by_m.items()}
+
+    def fill_dense(self, S_list: TSequence[np.ndarray]) -> None:
+        """Write ``S`` from K dense score matrices.
+
+        Filled pair-major with contiguous per-pair copies, then
+        transposed to pair-minor in one bulk pass -- same values.
+        """
+        S_pm = _scratch.take("S_pm", (self.K, self.mmax, self.nmax))
+        for t, S in enumerate(S_list):
+            S_pm[t, : S.shape[0], : S.shape[1]] = S
+        np.copyto(self.S, S_pm.transpose(1, 2, 0))
+
+    def fill_codes(
+        self,
+        x_codes: TSequence[np.ndarray],
+        y_codes: TSequence[np.ndarray],
+        table: np.ndarray,
+    ) -> None:
+        """Write ``S`` straight from residue codes: ``S[i, j, t] =
+        table[x_t[i], y_t[j]]`` for a C-contiguous float64 ``table``.
+
+        One add and one gather per DP row, directly into the
+        pair-minor stack -- no per-pair matrices, no pair-major copy.
+        Padded positions use the table's last code (a
+        :class:`~repro.seq.matrices.SubstitutionMatrix`'s all-zero gap
+        row), so every index is valid; those cells are never read.
+        """
+        K = self.K
+        rows, width = table.shape
+        x_off = _scratch.take("x_off", (self.mmax, K), dtype=np.intp)
+        y_idx = _scratch.take("y_idx", (self.nmax, K), dtype=np.intp)
+        x_off.fill(rows - 1)
+        y_idx.fill(width - 1)
+        for t in range(K):
+            x_off[: len(x_codes[t]), t] = x_codes[t]
+            y_idx[: len(y_codes[t]), t] = y_codes[t]
+        for codes, bound in ((x_off, rows), (y_idx, width)):
+            if codes.min() < 0 or codes.max() >= bound:
+                raise IndexError("residue code outside the substitution table")
+        np.multiply(x_off, width, out=x_off)
+        flat = table.ravel()
+        idx = _scratch.take("S_idx", (self.nmax, K), dtype=np.intp)
+        for i in range(self.mmax):
+            np.add(y_idx, x_off[i], out=idx)
+            # ``clip`` skips the bounds-check buffering of ``raise``;
+            # every index was range-checked above.
+            np.take(flat, idx, out=self.S[i], mode="clip")
 
 
 def _forward_batch(batch: _PaddedBatch, tf: float, align: bool):
@@ -671,47 +759,112 @@ def _traceback_bits(
     )
 
 
-def _is_scalar(value: Any) -> bool:
-    return isinstance(value, (int, float, np.integer, np.floating)) or (
-        isinstance(value, np.ndarray) and value.ndim == 0
+def _run_batch(
+    pens: _Penalties,
+    fill: Callable[[_PaddedBatch, List[int]], None],
+    tf: float,
+    align: bool,
+    max_batch_cells: Optional[int],
+):
+    """The chunk driver every batched entry point shares.
+
+    Degenerate (empty) pairs take the scalar edge path; live pairs are
+    cut into padded-cell-bounded chunks, each stacked into a
+    :class:`_PaddedBatch` whose ``S`` the entry's ``fill(batch, ks)``
+    writes, then run through one fused forward fill and -- in align
+    mode -- the per-pair bit traceback.  Returns ``(K,)`` float64
+    scores, or a list of K :class:`~repro.align.dp.AffineDPResult`.
+    """
+    ms, ns = pens.ms, pens.ns
+    K = len(ms)
+    results: List[Optional[AffineDPResult]] = [None] * K
+    out = np.empty(K, dtype=np.float64)
+    live: List[int] = []
+    for k in range(K):
+        m, n = ms[k], ns[k]
+        if m == 0 or n == 0:
+            out[k] = _empty_score(m, n, *pens.pair(k), tf)
+            if align:
+                results[k] = _empty_align(m, n, float(out[k]))
+        else:
+            live.append(k)
+    if not live:
+        return results if align else out
+
+    budget = (
+        max_batch_cells_setting()
+        if max_batch_cells is None
+        else max(1, int(max_batch_cells))
     )
+    shapes = [(ms[k], ns[k]) for k in live]
+    mode = "align" if align else "score"
+    for a, b in _chunk_bounds(shapes, budget):
+        ks = live[a:b]
+        batch = _PaddedBatch(pens, ks)
+        fill(batch, ks)
+        cells = int((batch.ms * batch.ns).sum())
+        _BATCH_CALLS.inc()
+        _BATCH_PAIRS.inc(len(ks))
+        _BATCH_CELLS.inc(cells)
+        with span("dp.batch", pairs=len(ks), cells=cells, mode=mode):
+            last_rows, last_cols, planes = _forward_batch(batch, tf, align)
+            if not align and tf == 1.0:
+                out[ks] = last_rows[batch.ns, np.arange(len(ks))]
+                continue
+            scores, bis, bjs = _terminal_best_batch(
+                batch, last_rows, last_cols, tf
+            )
+            if not align:
+                out[ks] = scores
+                continue
+            PA, PD, SE, SF = planes
+            for t, k in enumerate(ks):
+                x_map, y_map = _traceback_bits(
+                    PA[:, :, t],
+                    PD[:, :, t],
+                    SE[:, :, t],
+                    SF[:, :, t],
+                    int(bis[t]),
+                    int(bjs[t]),
+                    ms[k],
+                    ns[k],
+                )
+                results[k] = AffineDPResult(
+                    float(scores[t]), x_map, y_map
+                )
+    return results if align else out
 
 
-def _prepare(
+def _dense_batch(
     S_list: TSequence[np.ndarray],
     gap_open: Any,
     gap_extend: Any,
     gap_open_y: Any,
     gap_extend_y: Any,
+    tf: float,
+    align: bool,
+    max_batch_cells: Optional[int],
 ):
-    """Validate inputs and normalise penalties to per-pair vectors.
-
-    Also detects the uniform-scalar-penalty hot path (all four penalty
-    specs are plain scalars, as with :class:`~repro.seq.matrices
-    .GapPenalties`), which the forward loop exploits for cheaper
-    dispatch without changing any value.
-    """
+    """Dense entry: validate K score matrices and run the driver."""
     S_list = [np.ascontiguousarray(S, dtype=np.float64) for S in S_list]
     for S in S_list:
         if S.ndim != 2:
             raise ValueError("each pair-score matrix must be 2-D")
-    ms = [S.shape[0] for S in S_list]
-    ns = [S.shape[1] for S in S_list]
-    oy_raw = gap_open if gap_open_y is None else gap_open_y
-    ey_raw = gap_extend if gap_extend_y is None else gap_extend_y
-    uniform: Optional[Tuple[float, float, float, float]] = None
-    if all(_is_scalar(v) for v in (gap_open, gap_extend, oy_raw, ey_raw)):
-        uniform = (
-            float(gap_open),
-            float(gap_extend),
-            float(oy_raw),
-            float(ey_raw),
-        )
-    open_x = _normalise_penalties(gap_open, ms, "gap_open")
-    ext_x = _normalise_penalties(gap_extend, ms, "gap_extend")
-    open_y = _normalise_penalties(oy_raw, ns, "gap_open_y")
-    ext_y = _normalise_penalties(ey_raw, ns, "gap_extend_y")
-    return S_list, open_x, ext_x, open_y, ext_y, uniform
+    pens = _Penalties(
+        gap_open,
+        gap_extend,
+        gap_open_y,
+        gap_extend_y,
+        [S.shape[0] for S in S_list],
+        [S.shape[1] for S in S_list],
+    )
+    return _run_batch(
+        pens,
+        lambda batch, ks: batch.fill_dense([S_list[k] for k in ks]),
+        tf,
+        align,
+        max_batch_cells,
+    )
 
 
 def affine_score_batch(
@@ -731,57 +884,10 @@ def affine_score_batch(
     vector).  Returns a ``(K,)`` float64 array byte-identical to calling
     the scalar kernel per pair.  O(K * n_max) working memory.
     """
-    S_list, open_x, ext_x, open_y, ext_y, uniform = _prepare(
-        S_list, gap_open, gap_extend, gap_open_y, gap_extend_y
+    return _dense_batch(
+        S_list, gap_open, gap_extend, gap_open_y, gap_extend_y,
+        terminal_factor, False, max_batch_cells,
     )
-    K = len(S_list)
-    out = np.empty(K, dtype=np.float64)
-    if K == 0:
-        return out
-    tf = terminal_factor
-
-    live: List[int] = []
-    for k, S in enumerate(S_list):
-        m, n = S.shape
-        if m == 0 or n == 0:
-            out[k] = _empty_score(
-                m, n, open_x[k], ext_x[k], open_y[k], ext_y[k], tf
-            )
-        else:
-            live.append(k)
-    if not live:
-        return out
-
-    budget = (
-        max_batch_cells_setting()
-        if max_batch_cells is None
-        else max(1, int(max_batch_cells))
-    )
-    shapes = [S_list[k].shape for k in live]
-    for a, b in _chunk_bounds(shapes, budget):
-        ks = live[a:b]
-        batch = _PaddedBatch(
-            [S_list[k] for k in ks],
-            [open_x[k] for k in ks],
-            [ext_x[k] for k in ks],
-            [open_y[k] for k in ks],
-            [ext_y[k] for k in ks],
-            uniform=uniform,
-        )
-        cells = int((batch.ms * batch.ns).sum())
-        _BATCH_CALLS.inc()
-        _BATCH_PAIRS.inc(len(ks))
-        _BATCH_CELLS.inc(cells)
-        with span("dp.batch", pairs=len(ks), cells=cells, mode="score"):
-            last_rows, last_cols, _ = _forward_batch(batch, tf, align=False)
-            if tf == 1.0:
-                out[ks] = last_rows[batch.ns, np.arange(len(ks))]
-            else:
-                scores, _bi, _bj = _terminal_best_batch(
-                    batch, last_rows, last_cols, tf
-                )
-                out[ks] = scores
-    return out
 
 
 def affine_align_batch(
@@ -801,66 +907,53 @@ def affine_align_batch(
     so every result is byte-identical to per-pair
     :func:`~repro.align.dp.affine_align`.
     """
-    S_list, open_x, ext_x, open_y, ext_y, uniform = _prepare(
-        S_list, gap_open, gap_extend, gap_open_y, gap_extend_y
+    return _dense_batch(
+        S_list, gap_open, gap_extend, gap_open_y, gap_extend_y,
+        terminal_factor, True, max_batch_cells,
     )
-    K = len(S_list)
-    results: List[Optional[AffineDPResult]] = [None] * K
-    tf = terminal_factor
 
-    live: List[int] = []
-    for k, S in enumerate(S_list):
-        m, n = S.shape
-        if m == 0 or n == 0:
-            results[k] = _empty_align(
-                m, n, open_x[k], ext_x[k], open_y[k], ext_y[k], tf
-            )
-        else:
-            live.append(k)
-    if not live:
-        return results  # type: ignore[return-value]
 
-    budget = (
-        max_batch_cells_setting()
-        if max_batch_cells is None
-        else max(1, int(max_batch_cells))
+def affine_codes_batch(
+    x_codes: TSequence[np.ndarray],
+    y_codes: TSequence[np.ndarray],
+    table: np.ndarray,
+    gap_open: Any,
+    gap_extend: Any,
+    *,
+    align: bool,
+    terminal_factor: float = 1.0,
+    max_batch_cells: Optional[int] = None,
+):
+    """Batched DP over K sequence pairs given as residue codes.
+
+    Pair ``k`` scores ``table[x_codes[k][i], y_codes[k][j]]`` at cell
+    ``(i, j)`` -- exactly the matrix
+    :meth:`~repro.seq.matrices.SubstitutionMatrix.pair_scores` builds
+    from ``table = matrix.matrix`` -- but the padded stack is read
+    straight from the codes, so no per-pair matrix is ever built.
+    Returns what :func:`affine_align_batch` (``align=True``) or
+    :func:`affine_score_batch` returns on those matrices, byte for
+    byte.
+    """
+    if len(x_codes) != len(y_codes):
+        raise ValueError("x_codes and y_codes must hold one array per pair")
+    table = np.ascontiguousarray(table, dtype=np.float64)
+    if table.ndim != 2:
+        raise ValueError("the substitution table must be 2-D")
+    pens = _Penalties(
+        gap_open,
+        gap_extend,
+        None,
+        None,
+        [len(x) for x in x_codes],
+        [len(y) for y in y_codes],
     )
-    shapes = [S_list[k].shape for k in live]
-    for a, b in _chunk_bounds(shapes, budget):
-        ks = live[a:b]
-        batch = _PaddedBatch(
-            [S_list[k] for k in ks],
-            [open_x[k] for k in ks],
-            [ext_x[k] for k in ks],
-            [open_y[k] for k in ks],
-            [ext_y[k] for k in ks],
-            uniform=uniform,
-        )
-        cells = int((batch.ms * batch.ns).sum())
-        _BATCH_CALLS.inc()
-        _BATCH_PAIRS.inc(len(ks))
-        _BATCH_CELLS.inc(cells)
-        with span("dp.batch", pairs=len(ks), cells=cells, mode="align"):
-            last_rows, last_cols, planes = _forward_batch(
-                batch, tf, align=True
-            )
-            PA, PD, SE, SF = planes
-            scores, bis, bjs = _terminal_best_batch(
-                batch, last_rows, last_cols, tf
-            )
-            for t, k in enumerate(ks):
-                m, n = S_list[k].shape
-                x_map, y_map = _traceback_bits(
-                    PA[:, :, t],
-                    PD[:, :, t],
-                    SE[:, :, t],
-                    SF[:, :, t],
-                    int(bis[t]),
-                    int(bjs[t]),
-                    m,
-                    n,
-                )
-                results[k] = AffineDPResult(
-                    float(scores[t]), x_map, y_map
-                )
-    return results  # type: ignore[return-value]
+    return _run_batch(
+        pens,
+        lambda batch, ks: batch.fill_codes(
+            [x_codes[k] for k in ks], [y_codes[k] for k in ks], table
+        ),
+        terminal_factor,
+        align,
+        max_batch_cells,
+    )

@@ -102,21 +102,24 @@ def global_align_batch(
 ) -> List[PairwiseResult]:
     """Optimal global alignments of many sequence pairs, one fused DP.
 
-    Runs the batched kernel of :mod:`repro.align.batchdp` over the
-    stacked pair-score problems: results are **byte-identical** to
-    calling :func:`global_align` per pair, but the numpy dispatch cost
-    of the DP row loop is paid once per batch instead of once per pair
-    (5-20x on typical protein lengths).
+    Runs the batched kernel of :mod:`repro.align.batchdp` with its
+    padded score stack read straight from the residue codes (no
+    per-pair score matrices): results are **byte-identical** to calling
+    :func:`global_align` per pair, but the numpy dispatch cost of the
+    DP row loop is paid once per batch instead of once per pair (5-20x
+    on typical protein lengths).
     """
-    from repro.align.batchdp import affine_align_batch
+    from repro.align.batchdp import affine_codes_batch
 
     for x, y in pairs:
         _check_alphabets(x, y, matrix)
-    S_list = [matrix.pair_scores(x.codes, y.codes) for x, y in pairs]
-    results = affine_align_batch(
-        S_list,
+    results = affine_codes_batch(
+        [x.codes for x, _ in pairs],
+        [y.codes for _, y in pairs],
+        matrix.matrix,
         gaps.open,
         gaps.extend,
+        align=True,
         terminal_factor=gaps.terminal_factor,
         max_batch_cells=max_batch_cells,
     )
@@ -138,15 +141,17 @@ def global_score_batch(
     float64 scores, byte-identical to per-pair :func:`global_score`,
     O(K * n_max) working memory.
     """
-    from repro.align.batchdp import affine_score_batch
+    from repro.align.batchdp import affine_codes_batch
 
     for x, y in pairs:
         _check_alphabets(x, y, matrix)
-    S_list = [matrix.pair_scores(x.codes, y.codes) for x, y in pairs]
-    return affine_score_batch(
-        S_list,
+    return affine_codes_batch(
+        [x.codes for x, _ in pairs],
+        [y.codes for _, y in pairs],
+        matrix.matrix,
         gaps.open,
         gaps.extend,
+        align=False,
         terminal_factor=gaps.terminal_factor,
         max_batch_cells=max_batch_cells,
     )

@@ -15,12 +15,14 @@ class ServeCountingEngine:
     """Deterministic toy engine that counts executions and can block.
 
     Class-level state so the counter survives service/gateway restarts
-    within one test (the restart-without-recompute proofs).
+    within one test (the restart-without-recompute proofs).  ``seeds``
+    records each executed request's seed in dispatch order.
     """
 
     name = "serve-counting"
     kind = "sequential"
     calls = 0
+    seeds: list = []
     lock = threading.Lock()
     started = threading.Event()
     release = threading.Event()
@@ -28,6 +30,7 @@ class ServeCountingEngine:
     def run(self, request):
         with ServeCountingEngine.lock:
             ServeCountingEngine.calls += 1
+            ServeCountingEngine.seeds.append(request.seed)
         ServeCountingEngine.started.set()
         ServeCountingEngine.release.wait(timeout=10)
         aln = Alignment.from_rows(
@@ -43,6 +46,7 @@ class ServeCountingEngine:
 @pytest.fixture()
 def counting_engine():
     ServeCountingEngine.calls = 0
+    ServeCountingEngine.seeds = []
     ServeCountingEngine.started = threading.Event()
     ServeCountingEngine.release = threading.Event()
     ServeCountingEngine.release.set()  # default: do not block

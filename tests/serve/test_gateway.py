@@ -1,6 +1,5 @@
 """AlignmentGateway: admission, rate limiting, coalescing, priorities."""
 
-import threading
 import time
 
 import pytest
@@ -209,30 +208,16 @@ class TestAdmissionControl:
         """With one worker jammed, a later high-priority request runs
         before an earlier low-priority one."""
         counting_engine.release.clear()
-        order = []
         with AlignmentGateway(n_workers=1, max_queue=8) as gw:
             jam = gw.submit(make_request())
             assert counting_engine.started.wait(timeout=10)
             low = gw.submit(make_request(seed=1), priority="low")
             high = gw.submit(make_request(seed=2), priority="high")
-
-            # Record completion order via per-ticket waits.
-            def record(ticket, tag):
-                ticket._entry.done.wait(timeout=30)
-                order.append((tag, time.monotonic()))
-
-            threads = [
-                threading.Thread(target=record, args=(high, "high")),
-                threading.Thread(target=record, args=(low, "low")),
-            ]
-            for t in threads:
-                t.start()
             counting_engine.release.set()
-            for t in threads:
-                t.join(timeout=30)
-            assert high.done and low.done
-            by_time = [tag for tag, when in sorted(order, key=lambda x: x[1])]
-            assert by_time[0] == "high"
+            for ticket in (jam, high, low):
+                ticket.wait(timeout=30)
+            # The engine records seeds in dispatch order, under its lock.
+            assert counting_engine.seeds == [None, 2, 1]
 
 
 class TestSharedService:
