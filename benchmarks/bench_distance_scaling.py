@@ -10,7 +10,7 @@ proves two things:
   every estimator produce *byte-identical* matrices (the subsystem's
   determinism contract, asserted hard);
 - **speed** -- the ``processes`` schedule of the expensive ``full-dp``
-  estimator beats the legacy serial ``full_dp_distance_matrix`` path
+  estimator beats the serial ``all_pairs(seqs, FullDpDistance())`` path
   wall-clock on any host with >= 2 cores (a single-core host can only
   tie: processes pays fork/pickle overhead with no extra compute to
   spend it on, so the gate is core-conditional like
@@ -41,8 +41,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from _util import FULL, REPORT_DIR, fmt_table, write_report
 
 from repro.datagen.rose import generate_family
-from repro.distance import all_pairs
-from repro.msa.distances import full_dp_distance_matrix
+from repro.distance import FullDpDistance, all_pairs
 
 #: backend=None is the serial in-process path.
 BACKENDS = (None, "threads", "processes")
@@ -154,12 +153,12 @@ def run_distance_scaling(workers=4, repeats=2):
     )
     seed_speedup = SEED_FULL_DP_SERIAL_48_S / batched_wall
 
-    # The headline comparison: parallel all-pairs full-dp vs the legacy
-    # serial helper it replaced.
+    # The headline comparison: parallel all-pairs full-dp vs the serial
+    # stage.
     n_head = max(workloads)
     seqs = workloads[n_head]
     legacy_wall, legacy_d = _measure(
-        lambda: full_dp_distance_matrix(seqs), repeats
+        lambda: all_pairs(seqs, FullDpDistance()), repeats
     )
     par_wall = next(
         r["wall_s"]
@@ -181,7 +180,7 @@ def run_distance_scaling(workers=4, repeats=2):
         f"distance scaling: workers={workers} host_cores={cores}\n\n"
         f"{table}\n\n"
         f"byte-identical matrices across schedules: {identical}\n"
-        f"full-dp N={n_head}: serial legacy {legacy_wall:.3f}s vs "
+        f"full-dp N={n_head}: serial {legacy_wall:.3f}s vs "
         f"processes all_pairs {par_wall:.3f}s -> {speedup:.2f}x "
         f"(>1 means the parallel path wins; bounded by min(workers, "
         f"host_cores))\n"
@@ -246,7 +245,7 @@ def test_distance_scaling(benchmark):
     assert payload["identical_matrices"]
     assert payload["full_dp"]["identical"]
     # Perf claim is core-bound: multi-core hosts must see the parallel
-    # all-pairs path beat the legacy serial full-DP helper; a 1-core
+    # all-pairs path beat the serial full-DP stage; a 1-core
     # host can only tie.
     if payload["host_cores"] >= 2:
         assert payload["full_dp"]["parallel_beats_serial"]
@@ -269,7 +268,7 @@ if __name__ == "__main__":
         ok = ok and result["full_dp"]["parallel_beats_serial"]
         if not result["full_dp"]["parallel_beats_serial"]:
             print(
-                f"FAIL: parallel full-dp did not beat the serial legacy "
+                f"FAIL: parallel full-dp did not beat the serial "
                 f"path on a {result['host_cores']}-core host "
                 f"({result['full_dp']['speedup']:.2f}x)",
                 file=sys.stderr,

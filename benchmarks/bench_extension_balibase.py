@@ -14,8 +14,8 @@ from _util import fmt_table, once, write_report
 from repro import sample_align_d
 from repro.core.config import SampleAlignDConfig
 from repro.datagen.balibase import CATEGORIES, make_balibase_like
+from repro.engine.registry import get_sequential_aligner
 from repro.metrics import qscore
-from repro.msa import get_aligner
 
 
 def run_suite():
@@ -27,7 +27,7 @@ def run_suite():
         scores = {m: [] for m in methods + ["sample-align-d"]}
         for case in cat_cases:
             for m in methods:
-                aln = get_aligner(m).align(case.sequences)
+                aln = get_sequential_aligner(m).align(case.sequences)
                 scores[m].append(qscore(aln, case.reference))
             res = sample_align_d(
                 case.sequences,

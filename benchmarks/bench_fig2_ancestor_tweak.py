@@ -16,8 +16,8 @@ from repro.core.ancestor import global_ancestor, local_ancestor
 from repro.core.glue import glue_blocks, glue_blocks_diagonal
 from repro.core.tweak import tweak_against_ancestor
 from repro.datagen.rose import generate_family
+from repro.engine.registry import get_sequential_aligner
 from repro.metrics import qscore
-from repro.msa import get_aligner
 from repro.seq.alphabet import PROTEIN
 
 
@@ -26,7 +26,7 @@ def test_fig2_ancestor_tweak(benchmark):
         n_sequences=24, mean_length=120, relatedness=400, seed=9
     )
     seqs = list(fam.sequences)
-    aligner = get_aligner("muscle-p")
+    aligner = get_sequential_aligner("muscle-p")
 
     # Two subsets aligned independently of each other (two "cluster nodes").
     half = len(seqs) // 2

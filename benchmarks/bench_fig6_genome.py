@@ -17,7 +17,7 @@ from _util import FULL, fmt_table, once, write_report
 
 from repro import sample_align_d
 from repro.core.config import SampleAlignDConfig
-from repro.msa import get_aligner
+from repro.engine.registry import get_sequential_aligner
 from repro.perfmodel import predict_sequential_time, predict_total_time
 
 
@@ -28,7 +28,7 @@ def test_fig6_genome(benchmark, genome, coeffs):
 
     # Sequential baseline on "one node".
     t0 = time.perf_counter()
-    seq_aln = get_aligner("muscle-p").align(seqs)
+    seq_aln = get_sequential_aligner("muscle-p").align(seqs)
     t_seq = time.perf_counter() - t0
 
     procs = (1, 2, 4, 8, 16)

@@ -13,8 +13,8 @@ from repro.core.ancestor import global_ancestor, local_ancestor
 from repro.core.glue import glue_blocks, glue_blocks_diagonal
 from repro.core.tweak import tweak_against_ancestor
 from repro.datagen import rose
+from repro.engine.registry import get_sequential_aligner
 from repro.metrics import qscore
-from repro.msa import get_aligner
 from repro.seq.alphabet import PROTEIN
 
 def main() -> None:
@@ -22,7 +22,7 @@ def main() -> None:
         n_sequences=16, mean_length=80, relatedness=350, seed=4
     )
     seqs = list(family.sequences)
-    aligner = get_aligner("muscle-p")
+    aligner = get_sequential_aligner("muscle-p")
 
     # Two "cluster nodes" align their buckets independently.
     aln_a = aligner.align(seqs[:8])

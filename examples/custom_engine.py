@@ -21,8 +21,8 @@ from repro.align import GuideTree, add_sequences, progressive_align
 from repro.align.profile_align import ProfileAlignConfig
 from repro.core.config import SampleAlignDConfig
 from repro.datagen import rose
+from repro.engine.registry import register_sequential_aligner
 from repro.msa import SequentialMsaAligner
-from repro.msa.registry import register_aligner
 from repro.seq.formats import to_clustal
 
 
@@ -59,7 +59,7 @@ def main() -> None:
     #    engine swapping painless) and use it both ways: standalone
     #    through the unified facade, and as Sample-Align-D's bucket
     #    aligner.
-    register_aligner(
+    register_sequential_aligner(
         "length-center-star",
         lambda **kw: LengthSortedCenterStar(**kw),
         overwrite=True,

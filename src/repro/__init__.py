@@ -74,9 +74,8 @@ Quickstart::
         jobs = svc.run_batch([req, req])     # second job is a cache hit
         print(jobs[1].cache_hit, svc.stats)
 
-The legacy entry points (:func:`repro.sample_align_d`,
-:func:`repro.msa.get_aligner`) remain available and resolve through the
-same unified registry.
+The legacy entry point :func:`repro.sample_align_d` remains available
+and resolves through the same unified registry.
 """
 
 from typing import TYPE_CHECKING

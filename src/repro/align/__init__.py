@@ -41,7 +41,7 @@ from repro.align.pairwise import (
 )
 from repro.align.profile import Profile, merge_profiles
 from repro.align.profile_align import ProfileAlignConfig, align_profiles
-from repro.align.guide_tree import GuideTree, neighbor_joining, upgma, wpgma
+from repro.align.guide_tree import GuideTree
 from repro.align.progressive import progressive_align
 from repro.align.refine import refine_alignment
 from repro.align.consensus import consensus_sequence
@@ -71,13 +71,10 @@ __all__ = [
     "global_score_batch",
     "local_align",
     "merge_profiles",
-    "neighbor_joining",
     "pairwise_identity",
     "progressive_align",
     "refine_alignment",
     "sp_score",
-    "upgma",
-    "wpgma",
 ]
 
 

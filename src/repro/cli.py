@@ -50,11 +50,95 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Any, Dict, List, Optional, Sequence as TSequence
 
 import numpy as np
 
 __all__ = ["main", "build_parser"]
+
+_BACKENDS = "'threads', 'processes' or 'pool'"
+
+#: The stage flags: Sample-Align-D's ``backend`` plus the guide-tree
+#: stage options of :mod:`repro.engine.registry`, each with its help
+#: text and argparse keywords.  ``align``/``trace`` apply a flag to
+#: their one run; ``serve``/``loadtest`` fold it into requests as a
+#: gateway default.
+_STAGE_FLAGS: Dict[str, tuple] = {
+    "backend": (
+        "execution backend of distributed engines: 'threads' (virtual "
+        "cluster, best modeled-time fidelity, GIL-bound compute), "
+        "'processes' (one OS process per rank; real cores) or 'pool' "
+        "(persistent warm workers with shared-memory transport; best for "
+        "repeated runs); alignments are byte-identical across backends",
+        {"metavar": "NAME"},
+    ),
+    "distance": (
+        "distance estimator of the guide-tree stage (see `repro "
+        "distances`): 'ktuple' (fast, alignment-free), 'kmer-fraction', "
+        "'kband' or 'full-dp' (accurate, O(L^2) per pair)",
+        {"metavar": "NAME"},
+    ),
+    "distance_backend": (
+        f"execution backend of the all-pairs distance stage ({_BACKENDS}; "
+        "byte-identical to the serial stage)",
+        {"metavar": "NAME"},
+    ),
+    "distance_out": (
+        "distance-matrix placement: 'memory' (dense), 'condensed' (flat "
+        "upper triangle, half the RAM; the default) or 'memmap' "
+        "(disk-backed tile store, O(tile) resident memory at genome scale)",
+        {"choices": ["memory", "condensed", "memmap"]},
+    ),
+    "distance_store_dir": (
+        "tile-store directory for --distance-out memmap (default: a fresh "
+        "temporary store; a fixed DIR makes the distance stage resumable)",
+        {"metavar": "DIR"},
+    ),
+    "tree": (
+        "guide-tree builder (see `repro trees`): 'upgma', 'wpgma', 'nj', "
+        "'single-linkage' or 'anchor'",
+        {"metavar": "NAME"},
+    ),
+    "tree_backend": (
+        "execution backend of the DAG-scheduled progressive merge "
+        f"({_BACKENDS}; byte-identical to the serial walk)",
+        {"metavar": "NAME"},
+    ),
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _add_stage_flags(
+    parser: argparse.ArgumentParser,
+    names: TSequence[str] = tuple(_STAGE_FLAGS),
+    defaults: bool = False,
+) -> None:
+    """Add ``--<name>`` for each stage option in ``names``.
+
+    With ``defaults`` the help says the value is a gateway default,
+    folded pre-hash into requests that do not choose their own.
+    """
+    for name in names:
+        text, kwargs = _STAGE_FLAGS[name]
+        if defaults:
+            text = (
+                f"default {text}, folded into requests that do not choose "
+                "one (pre-hash, so caching and coalescing see it)"
+            )
+        parser.add_argument(_flag(name), default=None, help=text, **kwargs)
+
+
+def _stage_options(args: argparse.Namespace) -> Dict[str, Any]:
+    """The stage flags given on the command line, keyed by option name
+    (engine kwargs, or the gateway's ``defaults``)."""
+    return {
+        name: getattr(args, name)
+        for name in _STAGE_FLAGS
+        if getattr(args, name, None) is not None
+    }
 
 
 def _emit_json(payload: object, dest: str, dash_stream=None) -> None:
@@ -90,14 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
         "see `repro engines`)",
     )
     p_align.add_argument(
-        "--aligner",
-        default=None,
-        help="legacy alias of --engine for sequential aligners",
-    )
-    p_align.add_argument(
         "--local-aligner",
         default="muscle-p",
-        help="Sample-Align-D's per-bucket aligner (registry name)",
+        help="Sample-Align-D's per-bucket aligner (registry name); "
+        "--distance, --distance-out and --tree configure it",
     )
     p_align.add_argument(
         "--seed",
@@ -105,68 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="seeded initial block distribution (Sample-Align-D)",
     )
-    p_align.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="execution backend for distributed engines: 'threads' "
-        "(default; virtual cluster, best modeled-time fidelity, GIL-bound "
-        "compute), 'processes' (one OS process per rank; use it to "
-        "actually parallelize on a multi-core host), or 'pool' "
-        "(persistent warm workers with shared-memory transport; best "
-        "for repeated runs). Alignments are byte-identical across "
-        "backends.",
-    )
-    p_align.add_argument(
-        "--distance",
-        default=None,
-        metavar="NAME",
-        help="distance estimator for the guide-tree stage (see `repro "
-        "distances`): 'ktuple' (fast, alignment-free), 'kmer-fraction', "
-        "'kband', or 'full-dp' (accurate, O(L^2) per pair). For "
-        "sample-align-d it configures the per-bucket local aligners.",
-    )
-    p_align.add_argument(
-        "--distance-backend",
-        default=None,
-        metavar="NAME",
-        help="execution backend for the all-pairs distance stage "
-        "('threads', 'processes' or 'pool'; output is byte-identical "
-        "to the serial stage). Guide-tree engines only.",
-    )
-    p_align.add_argument(
-        "--distance-out",
-        default=None,
-        choices=["memory", "condensed", "memmap"],
-        help="distance-matrix placement: 'memory' (dense), 'condensed' "
-        "(flat upper triangle, half the RAM; the default) or 'memmap' "
-        "(disk-backed tile store -- O(tile) resident memory at genome "
-        "scale). Byte-identical values. Guide-tree engines only.",
-    )
-    p_align.add_argument(
-        "--distance-store-dir",
-        default=None,
-        metavar="DIR",
-        help="tile-store directory for --distance-out memmap (default: "
-        "a fresh temporary store; a fixed DIR makes the distance stage "
-        "resumable across runs)",
-    )
-    p_align.add_argument(
-        "--tree",
-        default=None,
-        metavar="NAME",
-        help="guide-tree builder (see `repro trees`): 'upgma', 'wpgma', "
-        "'nj', or 'single-linkage'. For sample-align-d it configures "
-        "the per-bucket local aligners.",
-    )
-    p_align.add_argument(
-        "--tree-backend",
-        default=None,
-        metavar="NAME",
-        help="execution backend for the DAG-scheduled progressive merge "
-        "('threads', 'processes' or 'pool'; byte-identical to the "
-        "serial walk). Guide-tree engines only.",
-    )
+    _add_stage_flags(p_align)
     p_align.add_argument(
         "--json",
         nargs="?",
@@ -402,62 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--burst", type=float, default=None,
         help="per-client token-bucket burst (default 2x rate)",
     )
-    p_serve.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="default execution backend for distributed requests that "
-        "don't choose one ('threads', 'processes' or 'pool'; pick "
-        "'processes' to serve Sample-Align-D on real cores, or 'pool' "
-        "to reuse warm workers across requests)",
-    )
-    p_serve.add_argument(
-        "--distance",
-        default=None,
-        metavar="NAME",
-        help="default distance estimator folded into guide-tree engine "
-        "requests that don't choose one (pre-hash, so caching/coalescing "
-        "see it; see `repro distances`)",
-    )
-    p_serve.add_argument(
-        "--distance-backend",
-        default=None,
-        metavar="NAME",
-        help="default execution backend for those requests' all-pairs "
-        "distance stage ('threads', 'processes' or 'pool')",
-    )
-    p_serve.add_argument(
-        "--distance-out",
-        default=None,
-        choices=["memory", "condensed", "memmap"],
-        help="default distance-matrix placement folded into guide-tree "
-        "engine requests that don't choose one (pre-hash); 'memmap' "
-        "bounds the gateway's resident memory via the disk-backed "
-        "tile store",
-    )
-    p_serve.add_argument(
-        "--distance-store-dir",
-        default=None,
-        metavar="DIR",
-        help="tile-store directory for --distance-out memmap "
-        "(default: fresh temporary stores)",
-    )
-    p_serve.add_argument(
-        "--tree",
-        default=None,
-        metavar="NAME",
-        help="default guide-tree builder folded into guide-tree engine "
-        "requests that don't choose one (pre-hash, so caching/coalescing "
-        "see it; see `repro trees`)",
-    )
-    p_serve.add_argument(
-        "--tree-backend",
-        default=None,
-        metavar="NAME",
-        help="default execution backend for those requests' "
-        "DAG-scheduled progressive merge ('threads', 'processes' or "
-        "'pool')",
-    )
+    _add_stage_flags(p_serve, defaults=True)
 
     p_load = sub.add_parser(
         "loadtest", help="drive an in-process gateway with synthetic traffic"
@@ -489,40 +453,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--store", metavar="DIR",
         help="back the gateway with a disk result store at DIR",
     )
-    p_load.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="default execution backend for distributed requests "
-        "('threads', 'processes' or 'pool')",
-    )
-    p_load.add_argument(
-        "--distance",
-        default=None,
-        metavar="NAME",
-        help="default distance estimator folded into guide-tree engine "
-        "requests (pre-hash; see `repro distances`)",
-    )
-    p_load.add_argument(
-        "--distance-backend",
-        default=None,
-        metavar="NAME",
-        help="default execution backend for the distance stage of those "
-        "requests ('threads', 'processes' or 'pool')",
-    )
-    p_load.add_argument(
-        "--tree",
-        default=None,
-        metavar="NAME",
-        help="default guide-tree builder folded into guide-tree engine "
-        "requests (pre-hash; see `repro trees`)",
-    )
-    p_load.add_argument(
-        "--tree-backend",
-        default=None,
-        metavar="NAME",
-        help="default execution backend for the progressive merge of "
-        "those requests ('threads', 'processes' or 'pool')",
+    _add_stage_flags(
+        p_load,
+        ("backend", "distance", "distance_backend", "tree", "tree_backend"),
+        defaults=True,
     )
     p_load.add_argument(
         "--trace-out",
@@ -561,20 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument(
         "-p", "--procs", type=int, default=4, help="virtual processors"
     )
-    p_trace.add_argument(
-        "--distance-backend",
-        default=None,
-        metavar="NAME",
-        help="execution backend for the all-pairs distance stage "
-        "('threads', 'processes' or 'pool'); adds <stage>.dispatch/.rank "
-        "spans to the trace",
-    )
-    p_trace.add_argument(
-        "--tree-backend",
-        default=None,
-        metavar="NAME",
-        help="execution backend for the DAG-scheduled progressive merge",
-    )
+    _add_stage_flags(p_trace, ("distance_backend", "tree_backend"))
     p_trace.add_argument(
         "-n", "--n-sequences", type=int, default=12,
         help="synthetic family size (no-input mode)",
@@ -605,12 +526,10 @@ def _cmd_align(args: argparse.Namespace) -> int:
     from repro.engine import AlignmentService, AlignRequest, get_engine
     from repro.seq.fasta import read_fasta
 
-    if args.engine and args.aligner:
-        print("--engine and --aligner are mutually exclusive", file=sys.stderr)
-        return 2
-    engine = args.engine or args.aligner or "sample-align-d"
-
+    engine = args.engine or "sample-align-d"
     seqs = read_fasta(args.input)
+    options = _stage_options(args)
+    backend = options.pop("backend", None)
     # Bad user input (unknown names, empty input) becomes a clean error;
     # failures *inside* an engine run keep their traceback.
     try:
@@ -631,13 +550,10 @@ def _cmd_align(args: argparse.Namespace) -> int:
         config = None
         engine_kwargs = {}
         if engine.lower() == "sample-align-d":
-            for flag, value in (
-                ("--distance-backend", args.distance_backend),
-                ("--tree-backend", args.tree_backend),
-            ):
-                if value is not None:
+            for opt in ("distance_backend", "tree_backend"):
+                if opt in options:
                     print(
-                        f"error: {flag} does not apply to "
+                        f"error: {_flag(opt)} does not apply to "
                         "sample-align-d (its ranks may not nest a second "
                         "execution backend); use --distance/--tree to "
                         "configure the per-bucket local aligners, or "
@@ -645,7 +561,7 @@ def _cmd_align(args: argparse.Namespace) -> int:
                         file=sys.stderr,
                     )
                     return 2
-            if args.distance_store_dir is not None:
+            if "distance_store_dir" in options:
                 # One fixed store dir shared by many per-bucket distance
                 # stages would thrash (each bucket's header evicts the
                 # previous bucket's tiles).
@@ -656,33 +572,24 @@ def _cmd_align(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 return 2
-            local_kwargs = {}
-            for opt, value, options_of, what in (
-                ("distance", args.distance, engine_distance_options,
-                 "distance estimator (no guide-tree distance stage)"),
-                ("distance_out", args.distance_out,
-                 engine_distance_options,
-                 "distance placement (no guide-tree distance stage)"),
-                ("tree", args.tree, engine_tree_options,
-                 "tree builder (no guide-tree stage)"),
-            ):
-                if value is None:
-                    continue
-                if opt not in options_of(args.local_aligner):
+            local = args.local_aligner
+            takes = engine_distance_options(local) | engine_tree_options(local)
+            for opt in options:
+                if opt not in takes:
                     print(
-                        f"error: local aligner {args.local_aligner!r} "
-                        f"does not take a --{opt} {what}",
+                        f"error: local aligner {local!r} does not take "
+                        f"{_flag(opt)} (no guide-tree "
+                        f"{opt.split('_')[0]} stage)",
                         file=sys.stderr,
                     )
                     return 2
-                local_kwargs[opt] = value
             config = SampleAlignDConfig(
-                local_aligner=args.local_aligner,
-                backend=args.backend,
-                local_aligner_kwargs=local_kwargs,
+                local_aligner=local,
+                backend=backend,
+                local_aligner_kwargs=options,
             )
         else:
-            if args.backend is not None:
+            if backend is not None:
                 print(
                     f"error: --backend currently applies only to the "
                     f"sample-align-d engine, not {engine!r} (the "
@@ -691,46 +598,32 @@ def _cmd_align(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 return 2
-            for seam, options_of, pairs in (
-                ("distance", engine_distance_options, (
-                    ("distance", args.distance),
-                    ("distance_backend", args.distance_backend),
-                    ("distance_out", args.distance_out),
-                    ("distance_store_dir", args.distance_store_dir),
-                )),
-                ("tree", engine_tree_options, (
-                    ("tree", args.tree),
-                    ("tree_backend", args.tree_backend),
-                )),
-            ):
-                supported = options_of(engine)
-                for opt, value in pairs:
-                    if value is None:
-                        continue
-                    if opt not in supported:
-                        if seam in supported:
-                            # e.g. parallel-baseline: it *has* a
-                            # pluggable distance/tree stage, but runs it
-                            # inside its own SPMD ranks.
-                            reason = (
-                                f"its {seam} stage runs inside its own "
-                                "SPMD ranks, which may not nest a second "
-                                f"execution backend; use --{seam} to "
-                                "pick the "
-                                + ("estimator" if seam == "distance"
-                                   else "builder")
-                            )
-                        else:
-                            reason = (
-                                f"no pluggable guide-tree {seam} stage"
-                            )
-                        print(
-                            f"error: engine {engine!r} does not take "
-                            f"--{opt.replace('_', '-')} ({reason})",
-                            file=sys.stderr,
-                        )
-                        return 2
-                    engine_kwargs[opt] = value
+            takes = engine_distance_options(engine) | engine_tree_options(
+                engine
+            )
+            for opt in options:
+                if opt in takes:
+                    continue
+                seam = opt.split("_")[0]
+                if seam in takes:
+                    # e.g. parallel-baseline: it *has* a pluggable
+                    # distance/tree stage, but runs it inside its own
+                    # SPMD ranks.
+                    reason = (
+                        f"its {seam} stage runs inside its own SPMD "
+                        "ranks, which may not nest a second execution "
+                        f"backend; use --{seam} to pick the "
+                        + ("estimator" if seam == "distance" else "builder")
+                    )
+                else:
+                    reason = f"no pluggable guide-tree {seam} stage"
+                print(
+                    f"error: engine {engine!r} does not take "
+                    f"{_flag(opt)} ({reason})",
+                    file=sys.stderr,
+                )
+                return 2
+            engine_kwargs = options
         request = AlignRequest(
             sequences=tuple(seqs),
             engine=engine,
@@ -814,9 +707,9 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 
 def _cmd_aligners(_args: argparse.Namespace) -> int:
-    from repro.msa.registry import available_aligners
+    from repro.engine.registry import available_sequential_aligners
 
-    for name in available_aligners():
+    for name in available_sequential_aligners():
         print(name)
     return 0
 
@@ -1297,13 +1190,7 @@ def _build_gateway(args: argparse.Namespace):
         max_queue=args.queue_size,
         rate=getattr(args, "rate", None),
         burst=getattr(args, "burst", None),
-        default_backend=getattr(args, "backend", None),
-        default_distance=getattr(args, "distance", None),
-        default_distance_backend=getattr(args, "distance_backend", None),
-        default_distance_out=getattr(args, "distance_out", None),
-        default_distance_store_dir=getattr(args, "distance_store_dir", None),
-        default_tree=getattr(args, "tree", None),
-        default_tree_backend=getattr(args, "tree_backend", None),
+        defaults=_stage_options(args),
     )
 
 
@@ -1457,14 +1344,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             track_alignment=False,
         )
         seqs = list(fam.sequences)
-    engine_kwargs = {
-        opt: value
-        for opt, value in (
-            ("distance_backend", args.distance_backend),
-            ("tree_backend", args.tree_backend),
-        )
-        if value is not None
-    }
+    engine_kwargs = _stage_options(args)
     try:
         # Fail fast on unknown engines / options the engine cannot take.
         get_engine(args.engine, **engine_kwargs)

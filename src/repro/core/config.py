@@ -113,9 +113,9 @@ class SampleAlignDConfig:
         if self.ancestor_reduction not in ("root", "tree"):
             raise ValueError("ancestor_reduction must be 'root' or 'tree'")
         # Fail fast on a bad aligner name here, not deep inside the SPMD run.
-        from repro.msa.registry import available_aligners
+        from repro.engine.registry import available_sequential_aligners
 
-        names = available_aligners()
+        names = available_sequential_aligners()
         for role, name in (
             ("local_aligner", self.local_aligner),
             ("root_aligner", self.root_aligner),
@@ -166,12 +166,14 @@ class SampleAlignDConfig:
         return cls(**kwargs)
 
     def make_local_aligner(self):
-        from repro.msa.registry import get_aligner
+        from repro.engine.registry import get_sequential_aligner
 
-        return get_aligner(self.local_aligner, **self.local_aligner_kwargs)
+        return get_sequential_aligner(
+            self.local_aligner, **self.local_aligner_kwargs
+        )
 
     def make_root_aligner(self):
-        from repro.msa.registry import get_aligner
+        from repro.engine.registry import get_sequential_aligner
 
         name = self.root_aligner or self.local_aligner
         kwargs = (
@@ -179,4 +181,4 @@ class SampleAlignDConfig:
             if self.root_aligner is not None
             else self.local_aligner_kwargs
         )
-        return get_aligner(name, **kwargs)
+        return get_sequential_aligner(name, **kwargs)

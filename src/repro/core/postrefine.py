@@ -24,13 +24,13 @@ from typing import List, Sequence as TSequence
 
 import numpy as np
 
-from repro.align.guide_tree import upgma
 from repro.align.profile import Profile
 from repro.align.profile_align import ProfileAlignConfig, align_profiles
 from repro.align.refine import refine_alignment
 from repro.align.scoring import sp_score
-from repro.msa.distances import ktuple_distance_matrix
+from repro.distance import KtupleDistance, all_pairs
 from repro.seq.alignment import Alignment
+from repro.tree import get_builder
 
 __all__ = ["refine_bucket_alignment", "bucket_level_refine"]
 
@@ -49,7 +49,9 @@ def refine_bucket_alignment(
     if rounds <= 0 or aln.n_rows < 3:
         return aln
     seqs = list(aln.ungapped())
-    tree = upgma(ktuple_distance_matrix(seqs), [s.id for s in seqs])
+    tree = get_builder("upgma").build(
+        all_pairs(seqs, KtupleDistance()), [s.id for s in seqs]
+    )
     rng = None if seed is None else np.random.default_rng(seed)
     return refine_alignment(
         aln, tree, scoring, max_rounds=rounds, rng=rng

@@ -1,10 +1,8 @@
 """One distance subsystem for every aligner.
 
 The all-pairs distance stage is the scalability wall of guide-tree MSA
--- the very problem the source paper attacks -- yet it used to be
-computed serially through three overlapping code paths
-(:mod:`repro.msa.distances`, :mod:`repro.kmer.distance`,
-``pairwise_identity``).  This package unifies them:
+-- the very problem the source paper attacks.  This package computes it
+for every aligner:
 
 - :mod:`~repro.distance.estimators` -- the
   :class:`DistanceEstimator` protocol and registry (``ktuple``,

@@ -4,10 +4,12 @@
 estimator, with which knobs, executed where" -- the shape that travels
 through ``engine_kwargs`` (it is JSON-able, so request content hashes
 and the serving layer's coalescing keys see the effective choice) and
-through baseline dataclass fields.
+through baseline dataclass fields.  The serving gateway validates its
+flat distance ``defaults`` by building one.
 
-Baselines accept the full spectrum of ``distance=`` values and funnel
-them through :func:`resolve_distance_stage`:
+The guide-tree baselines (:class:`~repro.msa.base.GuideTreeAligner`)
+accept the full spectrum of ``distance=`` values and funnel them
+through :func:`resolve_distance_stage`:
 
 - ``None`` -- the baseline's historical default estimator;
 - a registry name (``"full-dp"``) -- constructed with the baseline's

@@ -7,11 +7,15 @@ the :func:`repro.align` facade, the CLI's ``--engine`` flag,
 :class:`~repro.engine.service.AlignmentService`, benchmarks -- resolves
 engines through :func:`get_engine`; plug-ins enter through
 :func:`register_engine` (or :func:`register_sequential_aligner` for bare
-:class:`~repro.msa.base.SequentialMsaAligner` factories).
+:class:`~repro.msa.base.SequentialMsaAligner` factories).  The
+sequential section also serves the bare aligners themselves
+(:func:`get_sequential_aligner`), which Sample-Align-D instantiates as
+its per-bucket local aligner.
 
-The legacy :mod:`repro.msa.registry` is a thin delegate over the
-sequential section of this table, so ``repro.msa.get_aligner`` and
-``repro.engine.get_engine`` can never disagree about what a name means.
+:data:`DISTANCE_OPTION_NAMES` / :data:`TREE_OPTION_NAMES` are the one
+table of guide-tree stage option names: the baselines' fields
+(:class:`~repro.msa.base.GuideTreeAligner`), the serving gateway's
+``defaults`` keys and the CLI's stage flags all follow it.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ class EngineEntry:
     kind: str  # "sequential" | "distributed"
     factory: Callable[..., Aligner]
     #: For sequential entries, the raw SequentialMsaAligner factory that
-    #: the legacy ``repro.msa.get_aligner`` path returns directly.
+    #: :func:`get_sequential_aligner` returns directly.
     seq_factory: Optional[Callable] = None
     #: Which distance-seam kwargs (subset of DISTANCE_OPTION_NAMES) the
     #: engine factory accepts.  Empty for engines without a pluggable
@@ -117,8 +121,8 @@ def register_engine(
 
     ``factory(**kwargs)`` must return an :class:`Aligner`.  Use
     :func:`register_sequential_aligner` instead when all you have is a
-    :class:`~repro.msa.base.SequentialMsaAligner` factory -- that keeps
-    the name visible to the legacy ``repro.msa`` paths too.
+    :class:`~repro.msa.base.SequentialMsaAligner` factory -- that also
+    makes the name usable as Sample-Align-D's local aligner.
     ``distance_options`` / ``tree_options`` advertise which of the
     :mod:`repro.distance` / :mod:`repro.tree` seam kwargs the factory
     accepts (see :func:`engine_distance_options` /
@@ -152,8 +156,9 @@ def register_sequential_aligner(
     """Register a sequential MSA factory in the unified name space.
 
     The name becomes usable both as an engine (``get_engine(name)``, the
-    ``align`` facade, the service) and through the legacy
-    ``repro.msa.get_aligner`` path.  Pass ``distance_options`` /
+    ``align`` facade, the service) and as a bare aligner
+    (:func:`get_sequential_aligner`, Sample-Align-D's
+    ``local_aligner``).  Pass ``distance_options`` /
     ``tree_options`` when the factory accepts the
     :mod:`repro.distance` / :mod:`repro.tree` seam kwargs
     (``distance``/``distance_backend``/``distance_workers`` and
@@ -192,11 +197,7 @@ def unregister_engine(name: str) -> None:
 
 
 def unregister_sequential_aligner(name: str) -> None:
-    """Remove a sequential aligner; refuses to touch distributed engines.
-
-    This is the kind-checked removal the legacy ``repro.msa`` facade
-    delegates to.
-    """
+    """Remove a sequential aligner; refuses to touch distributed engines."""
     entry = _ENGINES.get(name.lower())
     if entry is None or entry.kind != "sequential":
         raise KeyError(
@@ -212,7 +213,7 @@ def available_engines() -> Dict[str, str]:
 
 
 def available_sequential_aligners() -> List[str]:
-    """Sorted names of the sequential section (the legacy registry view)."""
+    """Sorted names of the sequential section."""
     return sorted(n for n, e in _ENGINES.items() if e.kind == "sequential")
 
 
@@ -250,8 +251,7 @@ def get_engine(name: str, **kwargs) -> Aligner:
 def get_sequential_aligner(name: str, **kwargs):
     """Instantiate the raw sequential aligner behind a registry name.
 
-    This is the legacy ``repro.msa.get_aligner`` behaviour: it only
-    resolves sequential entries and returns the bare
+    It only resolves sequential entries and returns the bare
     :class:`~repro.msa.base.SequentialMsaAligner` (no protocol wrapper).
     """
     entry = _ENGINES.get(name.lower())
@@ -279,12 +279,6 @@ def _seq(module: str, cls: str, **preset):
     return factory
 
 
-#: The guide-tree systems whose distance stage routes through
-#: :func:`repro.distance.all_pairs` and whose tree stage routes through
-#: :mod:`repro.tree` (they accept both full seams).
-_GUIDE_TREE_DISTANCE_OPTIONS = frozenset(DISTANCE_OPTION_NAMES)
-_GUIDE_TREE_TREE_OPTIONS = frozenset(TREE_OPTION_NAMES)
-
 _BUILTIN_SEQUENTIAL = {
     # MUSCLE family (paper Table 2: MUSCLE and MUSCLE-p).
     "muscle": _seq("repro.msa.muscle", "MuscleLike"),
@@ -295,7 +289,7 @@ _BUILTIN_SEQUENTIAL = {
     # CLUSTALW.
     "clustalw": _seq("repro.msa.clustalw", "ClustalWLike"),
     "clustalw-full": _seq(
-        "repro.msa.clustalw", "ClustalWLike", distance_mode="full"
+        "repro.msa.clustalw", "ClustalWLike", distance="full-dp"
     ),
     # MAFFT scripts cited by the paper.
     "mafft-nwnsi": _seq("repro.msa.mafft", "MafftLike", mode="nwnsi"),
@@ -304,12 +298,14 @@ _BUILTIN_SEQUENTIAL = {
     "center-star": _seq("repro.msa.centerstar", "CenterStar"),
 }
 
+# The guide-tree systems (GuideTreeAligner subclasses) accept every
+# stage option.
 for _name, _factory in _BUILTIN_SEQUENTIAL.items():
     register_sequential_aligner(
         _name,
         _factory,
-        distance_options=_GUIDE_TREE_DISTANCE_OPTIONS,
-        tree_options=_GUIDE_TREE_TREE_OPTIONS,
+        distance_options=DISTANCE_OPTION_NAMES,
+        tree_options=TREE_OPTION_NAMES,
     )
 
 # Consistency-based systems: no guide-tree distance or tree stage.

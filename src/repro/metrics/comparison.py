@@ -88,7 +88,8 @@ def compare_methods(
         :class:`~repro.datagen.balibase.BalibaseCase`.
     methods:
         Name -> callable producing an alignment of the case's sequences.
-        Use :func:`repro.msa.get_aligner` instances or lambdas wrapping
+        Use :func:`repro.engine.registry.get_sequential_aligner`
+        instances or lambdas wrapping
         :func:`repro.sample_align_d`.
     pair_only:
         Score Q on the case's ``ref_pair`` only (the PREFAB protocol)

@@ -23,51 +23,34 @@ into Sample-Align-D as the per-processor local aligner (paper: "align
 sequences in each processor using any sequential multiple alignment
 system").
 
-All guide-tree distance stages route through the unified
-:mod:`repro.distance` subsystem: every baseline accepts ``distance=``
-(any registered estimator -- ``ktuple``, ``kmer-fraction``, ``full-dp``,
-``kband``) plus ``distance_backend=``/``distance_workers=`` to run the
-all-pairs stage on the execution backends with byte-identical output.
-The old helpers (:func:`ktuple_distance_matrix`,
-:func:`full_dp_distance_matrix`, :func:`kimura_distance`,
-:func:`alignment_identity_matrix`) remain as thin delegates.
+The guide-tree systems (CLUSTALW, MUSCLE, MAFFT, center-star) share
+:class:`GuideTreeAligner`, which declares their distance and tree stage
+options once: ``distance=`` (any :mod:`repro.distance` estimator --
+``ktuple``, ``kmer-fraction``, ``full-dp``, ``kband``) plus
+``distance_backend``/``distance_workers``/``distance_out``/
+``distance_store_dir``, and ``tree=`` (any :mod:`repro.tree` builder)
+plus ``tree_backend``/``tree_workers``.  Every stage runs serially or on
+the execution backends with byte-identical output.  Names resolve
+through :mod:`repro.engine.registry` (``get_sequential_aligner``,
+``register_sequential_aligner``).
 """
 
-from repro.msa.base import SequentialMsaAligner
-from repro.msa.distances import (
-    alignment_identity_matrix,
-    full_dp_distance_matrix,
-    kimura_distance,
-    ktuple_distance_matrix,
-)
+from repro.msa.base import GuideTreeAligner, SequentialMsaAligner
 from repro.msa.muscle import MuscleLike
 from repro.msa.clustalw import ClustalWLike
 from repro.msa.tcoffee import TCoffeeLike
 from repro.msa.mafft import MafftLike
 from repro.msa.centerstar import CenterStar
 from repro.msa.parallel_baseline import ParallelBaselineResult, ParallelClustalW
-from repro.msa.registry import (
-    available_aligners,
-    get_aligner,
-    register_aligner,
-    unregister_aligner,
-)
 
 __all__ = [
     "CenterStar",
     "ClustalWLike",
+    "GuideTreeAligner",
     "MafftLike",
     "MuscleLike",
     "ParallelBaselineResult",
     "ParallelClustalW",
     "SequentialMsaAligner",
     "TCoffeeLike",
-    "alignment_identity_matrix",
-    "available_aligners",
-    "full_dp_distance_matrix",
-    "get_aligner",
-    "kimura_distance",
-    "ktuple_distance_matrix",
-    "register_aligner",
-    "unregister_aligner",
 ]

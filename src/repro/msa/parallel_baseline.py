@@ -33,12 +33,8 @@ from typing import Optional, Sequence as TSequence
 
 from repro.align.profile_align import ProfileAlignConfig
 from repro.align.progressive import progressive_align
-from repro.distance import (
-    KtupleDistance,
-    all_pairs,
-    resolve_distance_stage,
-    scoring_estimator_defaults,
-)
+from repro.distance import all_pairs
+from repro.msa.base import distance_stage
 from repro.msa.clustalw import clustal_sequence_weights
 from repro.tree import get_builder, resolve_tree_stage
 from repro.parcomp.comm import VirtualComm
@@ -123,15 +119,7 @@ class ParallelClustalW:
         self._tree_builder()  # fail fast on bad tree options
 
     def _distance_stage(self):
-        est, backend, workers, out, store_dir = resolve_distance_stage(
-            self.distance,
-            out=self.distance_out,
-            store_dir=self.distance_store_dir,
-            default=lambda: KtupleDistance(k=self.kmer_k),
-            estimator_defaults=scoring_estimator_defaults(
-                self.scoring.matrix, self.scoring.gaps, self.kmer_k
-            ),
-        )
+        est, backend, workers, out, store_dir = distance_stage(self)
         if backend is not None or workers is not None:
             raise ValueError(
                 "parallel-baseline runs its distance stage inside its own "

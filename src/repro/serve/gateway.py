@@ -28,6 +28,7 @@ percentiles, and the service/cache-backend stats underneath.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import queue
 import threading
@@ -35,13 +36,21 @@ import time
 import uuid
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence as TSequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence as TSequence
 
+from repro.distance import DistanceConfig, validate_backend_name
 from repro.engine.api import AlignRequest, AlignResult
+from repro.engine.registry import (
+    DISTANCE_OPTION_NAMES,
+    TREE_OPTION_NAMES,
+    engine_distance_options,
+    engine_tree_options,
+)
 from repro.engine.service import AlignmentService
 from repro.obs.metrics import Histogram, HistogramSnapshot
 from repro.obs.metrics import percentile as _obs_percentile
 from repro.obs.tracing import span
+from repro.tree import TreeConfig
 
 __all__ = [
     "AlignmentGateway",
@@ -50,12 +59,54 @@ __all__ = [
     "RateLimitedError",
     "Ticket",
     "TokenBucket",
+    "DEFAULT_KEYS",
     "PRIORITIES",
     "percentile",
 ]
 
 #: Priority classes, low number dispatches first.
 PRIORITIES: Dict[str, int] = {"high": 0, "normal": 1, "low": 2}
+
+#: The keys of ``AlignmentGateway(defaults=...)``: Sample-Align-D's
+#: execution ``backend`` plus the guide-tree stage options, except the
+#: worker counts, which each request sizes for itself.
+DEFAULT_KEYS = ("backend",) + tuple(
+    name
+    for name in DISTANCE_OPTION_NAMES + TREE_OPTION_NAMES
+    if not name.endswith("_workers")
+)
+
+
+def _validated_defaults(defaults: Mapping[str, Any]) -> Dict[str, Any]:
+    """Drop unset keys, lower the names, and validate the gateway defaults.
+
+    The folded values feed content hashes, so 'KTuple' and 'ktuple' must
+    not split cache/coalescing keys; a store directory is a path, not a
+    name, and keeps its case.  The stage options are checked by building
+    the :class:`DistanceConfig` / :class:`TreeConfig` they describe.
+    """
+    unknown = sorted(set(defaults) - set(DEFAULT_KEYS))
+    if unknown:
+        raise ValueError(
+            f"unknown gateway defaults {unknown}; one of {list(DEFAULT_KEYS)}"
+        )
+    out = {
+        key: value if key == "distance_store_dir" else str(value).lower()
+        for key, value in defaults.items()
+        if value is not None
+    }
+    validate_backend_name(out.get("backend"), "default backend")
+    for stage, config_cls, name_field in (
+        ("distance", DistanceConfig, "estimator"),
+        ("tree", TreeConfig, "builder"),
+    ):
+        fields = {
+            name_field if key == stage else key[len(stage) + 1:]: value
+            for key, value in out.items()
+            if key == stage or key.startswith(stage + "_")
+        }
+        config_cls(**fields)
+    return out
 
 
 class GatewayError(RuntimeError):
@@ -213,38 +264,22 @@ class AlignmentGateway:
     max_tickets:
         Bound on the ticket lookup table (oldest tickets are forgotten
         first; their computations are unaffected).
-    default_backend:
-        Execution backend applied to distributed requests that do not
-        choose one themselves (no ``config`` and no ``backend`` engine
-        kwarg) -- how ``repro serve --backend processes`` puts every
-        plain Sample-Align-D request on real cores.  Applied at
-        admission, *before* hashing, so coalescing and the result cache
-        key see the effective request.
-    default_distance / default_distance_backend:
-        Distance-stage defaults for engines whose registry entry
-        advertises the :mod:`repro.distance` seam (the guide-tree
-        baselines and ``parallel-baseline``): requests that do not pick
-        their own ``distance`` / ``distance_backend`` engine kwarg get
-        these folded in -- how ``repro serve --distance-backend
-        processes`` puts every baseline's all-pairs stage on real
-        cores.  Also applied pre-hash, so coalescing and caching key on
-        the effective distance configuration.
-    default_distance_out / default_distance_store_dir:
-        Distance-stage result placement defaults, folded the same way:
-        ``default_distance_out="memmap"`` (with an optional store
-        directory) routes every unopinionated guide-tree baseline's
-        all-pairs stage through the disk-backed tile store
-        (:mod:`repro.distance.tilestore`), bounding the gateway's
-        resident memory at genome scale.  Applied pre-hash like the
-        other distance defaults.
-    default_tree / default_tree_backend:
-        Tree-stage defaults, symmetric with the distance pair: engines
-        whose registry entry advertises the :mod:`repro.tree` seam get
-        an unopinionated request's ``tree`` (guide-tree builder) /
-        ``tree_backend`` (DAG-scheduled merge placement) folded in
-        pre-hash -- how ``repro serve --tree-backend processes`` puts
-        every baseline's progressive merge on real cores while keeping
-        coalescing and the result cache keyed on the effective request.
+    defaults:
+        Options folded into requests that do not set them, keyed by
+        :data:`DEFAULT_KEYS`.  ``backend`` is the execution backend of
+        config-less ``sample-align-d`` requests that do not choose one
+        (how ``repro serve --backend processes`` puts every plain
+        Sample-Align-D request on real cores).  The guide-tree stage
+        options (``distance``, ``distance_backend``, ``distance_out``,
+        ``distance_store_dir``, ``tree``, ``tree_backend``) go to every
+        engine whose registry entry advertises them: for example
+        ``distance_out="memmap"`` routes each unopinionated baseline's
+        all-pairs stage through the disk-backed tile store, and
+        ``tree_backend="processes"`` puts its progressive merge on real
+        cores.  ``distance_store_dir`` is folded only together with
+        ``distance_out``.  Folding happens at admission, *before*
+        hashing, so coalescing and the result cache key on the
+        effective request.
     pool:
         A configured :class:`~repro.pool.WorkerPool` to serve
         ``backend="pool"`` requests from.  Whenever any of the three
@@ -270,71 +305,12 @@ class AlignmentGateway:
         latency_window: int = 4096,
         max_tickets: int = 4096,
         close_service: bool = True,
-        default_backend: Optional[str] = None,
-        default_distance: Optional[str] = None,
-        default_distance_backend: Optional[str] = None,
-        default_distance_out: Optional[str] = None,
-        default_distance_store_dir: Optional[str] = None,
-        default_tree: Optional[str] = None,
-        default_tree_backend: Optional[str] = None,
+        defaults: Optional[Mapping[str, Any]] = None,
         pool: Optional[Any] = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if default_backend is not None:
-            from repro.parcomp.backends import available_backends
-
-            if default_backend.lower() not in available_backends():
-                raise ValueError(
-                    f"default_backend {default_backend!r} is not a "
-                    f"registered execution backend; available: "
-                    f"{available_backends()}"
-                )
-        if default_distance is not None:
-            from repro.distance import available_estimators
-
-            if str(default_distance).lower() not in available_estimators():
-                raise ValueError(
-                    f"default_distance {default_distance!r} is not a "
-                    f"registered distance estimator; available: "
-                    f"{available_estimators()}"
-                )
-        if default_distance_backend is not None:
-            from repro.distance import validate_backend_name
-
-            validate_backend_name(
-                default_distance_backend, "default_distance_backend"
-            )
-        if default_distance_out is not None:
-            from repro.distance import OUT_MODES
-
-            if str(default_distance_out).lower() not in OUT_MODES:
-                raise ValueError(
-                    f"default_distance_out {default_distance_out!r} is not "
-                    f"a distance out mode; one of {list(OUT_MODES)}"
-                )
-        if (
-            default_distance_store_dir is not None
-            and str(default_distance_out).lower() != "memmap"
-        ):
-            raise ValueError(
-                "default_distance_store_dir requires "
-                "default_distance_out='memmap'"
-            )
-        if default_tree is not None:
-            from repro.tree import available_builders
-
-            if str(default_tree).lower() not in available_builders():
-                raise ValueError(
-                    f"default_tree {default_tree!r} is not a registered "
-                    f"tree builder; available: {available_builders()}"
-                )
-        if default_tree_backend is not None:
-            from repro.distance import validate_backend_name
-
-            validate_backend_name(
-                default_tree_backend, "default_tree_backend"
-            )
+        self._defaults = _validated_defaults(defaults or {})
         if max_queue < 1:
             raise ValueError("max_queue must be >= 1")
         if rate is not None and rate <= 0:
@@ -356,35 +332,6 @@ class AlignmentGateway:
         self._max_tickets = max_tickets
         self._rate = rate
         self._burst = resolved_burst
-        # Store the lowered registry names: the folded engine_kwargs feed
-        # content hashes, so 'KTuple' and 'ktuple' must not split
-        # cache/coalescing keys.
-        self._default_backend = (
-            None if default_backend is None else default_backend.lower()
-        )
-        self._default_distance = (
-            None if default_distance is None else default_distance.lower()
-        )
-        self._default_distance_backend = (
-            None
-            if default_distance_backend is None
-            else default_distance_backend.lower()
-        )
-        self._default_distance_out = (
-            None
-            if default_distance_out is None
-            else default_distance_out.lower()
-        )
-        # A path, not a registry name: never lowered.
-        self._default_distance_store_dir = default_distance_store_dir
-        self._default_tree = (
-            None if default_tree is None else default_tree.lower()
-        )
-        self._default_tree_backend = (
-            None
-            if default_tree_backend is None
-            else default_tree_backend.lower()
-        )
         # LRU-bounded: client_id comes off the wire, so an unbounded
         # table is a memory leak under adversarial ids.  (Per-client
         # limiting with open identities can always be dodged by minting
@@ -417,9 +364,8 @@ class AlignmentGateway:
         self._own_pool = False
         self._prev_default_pool: Optional[Any] = None
         wants_pool = pool is not None or "pool" in {
-            self._default_backend,
-            self._default_distance_backend,
-            self._default_tree_backend,
+            self._defaults.get(key)
+            for key in ("backend", "distance_backend", "tree_backend")
         }
         if wants_pool:
             from repro.pool import WorkerPool, set_default_pool
@@ -555,85 +501,32 @@ class AlignmentGateway:
     def _effective_request(self, request: AlignRequest) -> AlignRequest:
         """Fold the gateway's defaults into an unopinionated request.
 
-        Three independent rewrites, all pre-hash so coalescing and the
-        result cache key on the *effective* request:
-
-        - execution backend: distributed engines with no explicit choice
-          (no config, no ``backend`` engine kwarg);
-        - distance stage: engines whose registry entry advertises the
-          :mod:`repro.distance` seam and that did not pick their own
-          ``distance`` / ``distance_backend``;
-        - tree stage: likewise for the :mod:`repro.tree` seam
-          (``tree`` / ``tree_backend``).
+        Pre-hash, so coalescing and the result cache key on the
+        *effective* request.  ``backend`` goes only to config-less
+        ``sample-align-d`` requests; each stage option goes to engines
+        that advertise it (:func:`~repro.engine.registry
+        .engine_distance_options` / ``engine_tree_options``); nothing
+        overrides an engine kwarg the request set itself.
         """
+        kwargs = request.engine_kwargs
+        engine = request.engine.lower()
+        supported = engine_distance_options(engine) | engine_tree_options(
+            engine
+        )
+        if engine == "sample-align-d" and request.config is None:
+            supported = supported | {"backend"}
         updates: Dict[str, Any] = {}
-        if (
-            self._default_backend is not None
-            and request.engine.lower() == "sample-align-d"
-            and request.config is None
-            and "backend" not in request.engine_kwargs
-        ):
-            updates["backend"] = self._default_backend
-        if (
-            self._default_distance is not None
-            or self._default_distance_backend is not None
-            or self._default_distance_out is not None
-        ):
-            from repro.engine.registry import engine_distance_options
-
-            supported = engine_distance_options(request.engine)
-            if (
-                self._default_distance is not None
-                and "distance" in supported
-                and "distance" not in request.engine_kwargs
-            ):
-                updates["distance"] = self._default_distance
-            if (
-                self._default_distance_backend is not None
-                and "distance_backend" in supported
-                and "distance_backend" not in request.engine_kwargs
-            ):
-                updates["distance_backend"] = self._default_distance_backend
-            if (
-                self._default_distance_out is not None
-                and "distance_out" in supported
-                and "distance_out" not in request.engine_kwargs
-            ):
-                updates["distance_out"] = self._default_distance_out
-                if (
-                    self._default_distance_store_dir is not None
-                    and "distance_store_dir" in supported
-                    and "distance_store_dir" not in request.engine_kwargs
-                ):
-                    updates["distance_store_dir"] = (
-                        self._default_distance_store_dir
-                    )
-        if (
-            self._default_tree is not None
-            or self._default_tree_backend is not None
-        ):
-            from repro.engine.registry import engine_tree_options
-
-            supported = engine_tree_options(request.engine)
-            if (
-                self._default_tree is not None
-                and "tree" in supported
-                and "tree" not in request.engine_kwargs
-            ):
-                updates["tree"] = self._default_tree
-            if (
-                self._default_tree_backend is not None
-                and "tree_backend" in supported
-                and "tree_backend" not in request.engine_kwargs
-            ):
-                updates["tree_backend"] = self._default_tree_backend
+        for key, value in self._defaults.items():
+            if key in supported and key not in kwargs:
+                updates[key] = value
+        # A store directory only means something next to the placement
+        # it configures.
+        if "distance_out" not in updates:
+            updates.pop("distance_store_dir", None)
         if not updates:
             return request
-        import dataclasses
-
         return dataclasses.replace(
-            request,
-            engine_kwargs={**request.engine_kwargs, **updates},
+            request, engine_kwargs={**kwargs, **updates}
         )
 
     def run(
@@ -692,11 +585,8 @@ class AlignmentGateway:
         out: Dict[str, Any] = dict(counters)
         out["queue_depth"] = self._queue.qsize()
         out["inflight"] = inflight
-        out["default_backend"] = self._default_backend
-        out["default_distance"] = self._default_distance
-        out["default_distance_backend"] = self._default_distance_backend
-        out["default_tree"] = self._default_tree
-        out["default_tree_backend"] = self._default_tree_backend
+        for key in DEFAULT_KEYS:
+            out[f"default_{key}"] = self._defaults.get(key)
         out["latency"] = {
             "count": lat.count,
             "p50_s": lat.quantile(0.50),

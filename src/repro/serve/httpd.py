@@ -17,7 +17,7 @@ A thin JSON-over-HTTP surface on top of
   knob: ``{"request": {"engine": "sample-align-d", "engine_kwargs":
   {"backend": "processes"}, ...}}`` (or ``config.backend`` inside a full
   config dict).  Requests that stay silent inherit the gateway's
-  ``default_backend`` (the ``repro serve --backend`` flag).
+  ``defaults["backend"]`` (the ``repro serve --backend`` flag).
 - ``GET /jobs/<ticket_id>`` -- ticket status, plus the result once done.
 - ``GET /healthz`` -- liveness (``{"status": "ok"}``).
 - ``GET /metrics`` -- :meth:`AlignmentGateway.metrics` as JSON;

@@ -8,7 +8,7 @@ dataclass with one job -- a :class:`~repro.align.guide_tree.GuideTree`
 from a distance matrix -- behind the same registry idiom the distance
 estimators and execution backends use, so one ``tree=`` string selects
 the topology at every layer (baseline configs, ``engine_kwargs``, the
-gateway's ``default_tree``, the CLI's ``--tree``).
+gateway's ``defaults``, the CLI's ``--tree``).
 
 Registered builders (topology trade-offs):
 
@@ -26,9 +26,8 @@ Registered builders (topology trade-offs):
     agglomeration and the most caterpillar-prone topology, useful as a
     scheduling stress case (its merge DAG has almost no parallelism).
 
-Plug-ins enter via :func:`register_builder`.  The legacy functions
-``repro.align.guide_tree.upgma`` / ``wpgma`` / ``neighbor_joining`` are
-thin delegates over this registry.
+Plug-ins enter via :func:`register_builder`.  The UPGMA builder is
+validated against ``scipy.cluster.hierarchy.linkage`` in the test suite.
 """
 
 from __future__ import annotations

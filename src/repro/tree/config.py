@@ -133,13 +133,15 @@ def resolve_tree_stage(
     backend: Optional[str] = None,
     workers: Optional[int] = None,
     *,
-    default: Optional[Callable[[], TreeBuilder]] = None,
-) -> Tuple[TreeBuilder, Optional[str], Optional[int]]:
+    default: Optional[Callable[[], Optional[TreeBuilder]]] = None,
+) -> Tuple[Optional[TreeBuilder], Optional[str], Optional[int]]:
     """Normalise a baseline's tree options to ``(builder, backend,
     workers)``.
 
     ``default`` builds the baseline's historical builder when ``tree``
-    is None (e.g. neighbour joining for the CLUSTALW-like aligner).
+    is None (e.g. neighbour joining for the CLUSTALW-like aligner); it
+    may return None for a baseline whose default tree is no builder's
+    (center-star's caterpillar).
     Explicit ``backend``/``workers`` arguments win over the config's.
     """
     config: Optional[TreeConfig] = None

@@ -5,7 +5,8 @@ import pytest
 from scipy.cluster.hierarchy import linkage
 from scipy.spatial.distance import squareform
 
-from repro.align.guide_tree import GuideTree, neighbor_joining, upgma, wpgma
+from repro.align.guide_tree import GuideTree
+from repro.tree import get_builder
 
 
 def random_distance_matrix(n, seed):
@@ -83,7 +84,7 @@ class TestUpgma:
     @pytest.mark.parametrize("n", [3, 7, 16, 40])
     def test_heights_match_scipy_average(self, n, seed):
         m = random_distance_matrix(n, seed)
-        ours = upgma(m)
+        ours = get_builder("upgma").build(m)
         Z = linkage(squareform(m, checks=False), method="average")
         assert np.allclose(
             np.sort(ours.heights), np.sort(Z[:, 2] / 2.0), atol=1e-9
@@ -92,7 +93,7 @@ class TestUpgma:
     @pytest.mark.parametrize("seed", range(4))
     def test_wpgma_matches_scipy_weighted(self, seed):
         m = random_distance_matrix(12, seed)
-        ours = wpgma(m)
+        ours = get_builder("wpgma").build(m)
         Z = linkage(squareform(m, checks=False), method="weighted")
         assert np.allclose(
             np.sort(ours.heights), np.sort(Z[:, 2] / 2.0), atol=1e-9
@@ -100,12 +101,12 @@ class TestUpgma:
 
     def test_heights_monotone(self):
         m = random_distance_matrix(20, 3)
-        t = upgma(m)
+        t = get_builder("upgma").build(m)
         assert (np.diff(t.heights) >= -1e-9).all()
 
     def test_two_leaves(self):
         m = np.array([[0.0, 1.0], [1.0, 0.0]])
-        t = upgma(m, ["x", "y"])
+        t = get_builder("upgma").build(m, ["x", "y"])
         assert t.merges.tolist() == [[0, 1]]
         assert t.heights[0] == pytest.approx(0.5)
 
@@ -115,7 +116,7 @@ class TestUpgma:
         np.fill_diagonal(m, 0.0)
         m[0, 1] = m[1, 0] = 0.1
         m[2, 3] = m[3, 2] = 0.2
-        t = upgma(m)
+        t = get_builder("upgma").build(m)
         first_two = {tuple(sorted(t.merges[0])), tuple(sorted(t.merges[1]))}
         assert first_two == {(0, 1), (2, 3)}
 
@@ -123,12 +124,12 @@ class TestUpgma:
         m = np.zeros((3, 3))
         m[0, 1] = 1.0
         with pytest.raises(ValueError, match="symmetric"):
-            upgma(m)
+            get_builder("upgma").build(m)
 
     def test_nonzero_diagonal_rejected(self):
         m = np.eye(3)
         with pytest.raises(ValueError, match="diagonal"):
-            upgma(m)
+            get_builder("upgma").build(m)
 
 
 class TestNeighborJoining:
@@ -143,7 +144,7 @@ class TestNeighborJoining:
                 [6.0, 6.0, 2.0, 0.0],
             ]
         )
-        t = neighbor_joining(m, ["a", "b", "c", "d"])
+        t = get_builder("nj").build(m, ["a", "b", "c", "d"])
         first = tuple(sorted(t.merges[0]))
         assert first in {(0, 1), (2, 3)}
         newick = t.to_newick()
@@ -151,19 +152,19 @@ class TestNeighborJoining:
 
     def test_all_leaves_present(self):
         m = random_distance_matrix(9, 1)
-        t = neighbor_joining(m)
+        t = get_builder("nj").build(m)
         assert t.leaves_under(t.root).tolist() == list(range(9))
 
     def test_two_leaves(self):
         m = np.array([[0.0, 3.0], [3.0, 0.0]])
-        t = neighbor_joining(m, ["x", "y"])
+        t = get_builder("nj").build(m, ["x", "y"])
         assert t.merges.tolist() == [[0, 1]]
 
     def test_three_leaves(self):
         m = random_distance_matrix(3, 2)
-        t = neighbor_joining(m)
+        t = get_builder("nj").build(m)
         assert t.n_nodes == 5
 
     def test_single_leaf(self):
-        t = neighbor_joining(np.zeros((1, 1)), ["only"])
+        t = get_builder("nj").build(np.zeros((1, 1)), ["only"])
         assert t.n_leaves == 1

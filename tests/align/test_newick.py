@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.align.guide_tree import GuideTree, neighbor_joining, upgma
+from repro.align.guide_tree import GuideTree
+from repro.tree import get_builder
 
 
 def random_distance_matrix(n, seed):
@@ -18,13 +19,13 @@ class TestNewickRoundTrip:
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("n", [2, 3, 8, 15])
     def test_topology_roundtrip(self, n, seed):
-        t = upgma(random_distance_matrix(n, seed))
+        t = get_builder("upgma").build(random_distance_matrix(n, seed))
         again = GuideTree.from_newick(t.to_newick())
         assert again.to_newick() == t.to_newick()
         assert again.n_leaves == n
 
     def test_branch_length_roundtrip(self):
-        t = upgma(random_distance_matrix(10, 3))
+        t = get_builder("upgma").build(random_distance_matrix(10, 3))
         again = GuideTree.from_newick(t.to_newick(branch_lengths=True))
         assert again.to_newick() == t.to_newick()
         assert np.allclose(
@@ -32,7 +33,7 @@ class TestNewickRoundTrip:
         )
 
     def test_nj_roundtrip(self):
-        t = neighbor_joining(random_distance_matrix(7, 1))
+        t = get_builder("nj").build(random_distance_matrix(7, 1))
         again = GuideTree.from_newick(t.to_newick())
         assert again.to_newick() == t.to_newick()
 

@@ -70,9 +70,9 @@ class TestAlignProfiles:
         assert (res.x_map >= 0).all() and (res.y_map >= 0).all()
 
     def test_rows_preserved(self, tiny_seqs):
-        from repro.msa import get_aligner
+        from repro.engine.registry import get_sequential_aligner
 
-        aln = get_aligner("muscle-draft").align(tiny_seqs)
+        aln = get_sequential_aligner("muscle-draft").align(tiny_seqs)
         px = Profile(aln.select_rows(aln.ids[:2]).drop_all_gap_columns())
         py = Profile(aln.select_rows(aln.ids[2:]).drop_all_gap_columns())
         merged, _res = align_profiles(px, py)

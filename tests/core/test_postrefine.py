@@ -9,14 +9,16 @@ from repro.align.scoring import sp_score
 from repro.core.config import SampleAlignDConfig
 from repro.core.postrefine import bucket_level_refine, refine_bucket_alignment
 from repro.datagen.rose import generate_family
+from repro.engine.registry import get_sequential_aligner
 from repro.metrics import qscore
-from repro.msa import get_aligner
 from repro.seq.alignment import Alignment
 
 
 class TestRefineBucketAlignment:
     def test_noop_for_zero_rounds(self, small_family):
-        aln = get_aligner("muscle-draft").align(small_family.sequences)
+        aln = get_sequential_aligner("muscle-draft").align(
+            small_family.sequences
+        )
         assert refine_bucket_alignment(aln, ProfileAlignConfig(), 0) is aln
 
     def test_noop_for_tiny_alignment(self):
@@ -24,12 +26,16 @@ class TestRefineBucketAlignment:
         assert refine_bucket_alignment(aln, ProfileAlignConfig(), 2) is aln
 
     def test_sp_never_decreases(self, small_family):
-        aln = get_aligner("muscle-draft").align(small_family.sequences)
+        aln = get_sequential_aligner("muscle-draft").align(
+            small_family.sequences
+        )
         out = refine_bucket_alignment(aln, ProfileAlignConfig(), 2)
         assert sp_score(out) >= sp_score(aln) - 1e-9
 
     def test_roundtrip(self, small_family):
-        aln = get_aligner("muscle-draft").align(small_family.sequences)
+        aln = get_sequential_aligner("muscle-draft").align(
+            small_family.sequences
+        )
         out = refine_bucket_alignment(aln, ProfileAlignConfig(), 1)
         un = out.ungapped()
         for s in small_family.sequences:

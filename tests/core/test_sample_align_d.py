@@ -6,9 +6,9 @@ import pytest
 from repro import sample_align_d
 from repro.core.config import SampleAlignDConfig
 from repro.datagen.rose import generate_family
+from repro.engine.registry import get_sequential_aligner
 from repro.kmer.rank import RankConfig
 from repro.metrics import qscore
-from repro.msa import get_aligner
 from repro.samplesort import max_bucket_bound
 from repro.seq.sequence import Sequence, SequenceSet
 
@@ -72,7 +72,9 @@ class TestBehaviour:
     def test_quality_close_to_sequential(self, diverse_family):
         res = sample_align_d(diverse_family.sequences, n_procs=4)
         q_par = qscore(res.alignment, diverse_family.reference)
-        seq_aln = get_aligner("muscle-p").align(diverse_family.sequences)
+        seq_aln = get_sequential_aligner("muscle-p").align(
+            diverse_family.sequences
+        )
         q_seq = qscore(seq_aln, diverse_family.reference)
         # Paper's Table 2 band: parallel quality comparable to (but a bit
         # below) the sequential aligner; 0.544 vs 0.645 there.

@@ -6,7 +6,7 @@ import pytest
 from repro.core.ancestor import global_ancestor, local_ancestor
 from repro.core.glue import glue_blocks, glue_blocks_diagonal
 from repro.core.tweak import TweakedBlock, tweak_against_ancestor
-from repro.msa import get_aligner
+from repro.engine.registry import get_sequential_aligner
 from repro.seq.alignment import Alignment
 from repro.seq.alphabet import PROTEIN
 from repro.seq.sequence import Sequence
@@ -31,7 +31,9 @@ class TestAncestor:
 
     def test_global_single(self):
         anc = Sequence("ancestor_r0", "MKV")
-        ga = global_ancestor([anc, None], get_aligner("muscle-draft"))
+        ga = global_ancestor(
+            [anc, None], get_sequential_aligner("muscle-draft")
+        )
         assert ga.id == "global_ancestor"
         assert ga.residues == "MKV"
 
@@ -42,13 +44,15 @@ class TestAncestor:
             None,
             Sequence("ancestor_r3", "MKTAYIAKQR"),
         ]
-        ga = global_ancestor(ancs, get_aligner("muscle-draft"))
+        ga = global_ancestor(ancs, get_sequential_aligner("muscle-draft"))
         assert ga.id == "global_ancestor"
         assert len(ga) >= 8
 
     def test_global_all_empty_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            global_ancestor([None, None], get_aligner("muscle-draft"))
+            global_ancestor(
+                [None, None], get_sequential_aligner("muscle-draft")
+            )
 
 
 class TestTweak:
@@ -121,7 +125,7 @@ class TestGlue:
         blocks = []
         for i in range(0, len(seqs), 4):
             chunk = seqs[i : i + 4]
-            aln = get_aligner("muscle-draft").align(chunk)
+            aln = get_sequential_aligner("muscle-draft").align(chunk)
             blocks.append(tweak_against_ancestor(aln, anc))
         glued = glue_blocks(blocks, PROTEIN)
         un = glued.ungapped()

@@ -64,7 +64,7 @@ class TestCategoryStructure:
         assert (counts == 1).sum() >= 15
 
     def test_rv20_orphans_more_divergent(self, cases):
-        from repro.msa.distances import alignment_identity_matrix
+        from repro.distance import alignment_identity_matrix
 
         case = next(c for c in cases if c.category == "RV20")
         ident = alignment_identity_matrix(case.reference)
@@ -75,12 +75,12 @@ class TestCategoryStructure:
 
     def test_rv11_harder_than_rv12(self, cases):
         from repro.metrics import qscore
-        from repro.msa import get_aligner
+        from repro.engine.registry import get_sequential_aligner
 
         by_cat = {c.category: c for c in cases}
         q = {}
         for cat in ("RV11", "RV12"):
             case = by_cat[cat]
-            aln = get_aligner("muscle-draft").align(case.sequences)
+            aln = get_sequential_aligner("muscle-draft").align(case.sequences)
             q[cat] = qscore(aln, case.reference)
         assert q["RV11"] <= q["RV12"] + 0.05

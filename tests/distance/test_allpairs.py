@@ -37,16 +37,13 @@ class TestValidation:
             all_pairs([Sequence("a", "MKV"), Sequence("z", "")])
 
     def test_legacy_delegates_validate_too(self):
-        from repro.msa.distances import (
-            full_dp_distance_matrix,
-            ktuple_distance_matrix,
-        )
+        from repro.distance import FullDpDistance, KtupleDistance
 
-        for fn in (ktuple_distance_matrix, full_dp_distance_matrix):
+        for est in (KtupleDistance(), FullDpDistance()):
             with pytest.raises(ValueError):
-                fn([])
+                all_pairs([], est)
             with pytest.raises(ValueError):
-                fn([Sequence("a", "MKV")])
+                all_pairs([Sequence("a", "MKV")], est)
 
     def test_bad_workers(self, family):
         with pytest.raises(ValueError):

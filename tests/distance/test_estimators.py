@@ -11,7 +11,6 @@ from repro.distance import (
     all_pairs,
     available_estimators,
     estimator_info,
-    fractional_identity_estimate,
     get_estimator,
     identity_to_distance,
     kimura_distance,
@@ -64,10 +63,8 @@ class TestEveryEstimatorProperties:
 
 class TestKtuple:
     def test_matches_legacy_helper(self, tiny_seqs):
-        from repro.msa.distances import ktuple_distance_matrix
-
         seqs = list(tiny_seqs)
-        legacy = ktuple_distance_matrix(seqs, k=3)
+        legacy = all_pairs(seqs, KtupleDistance(k=3))
         new = all_pairs(seqs, "ktuple", k=3)
         assert legacy.tobytes() == new.tobytes()
 
@@ -94,10 +91,8 @@ class TestKtuple:
 
 class TestFullDpAndKband:
     def test_full_dp_matches_legacy_helper(self, tiny_seqs):
-        from repro.msa.distances import full_dp_distance_matrix
-
         seqs = list(tiny_seqs)[:4]
-        legacy = full_dp_distance_matrix(seqs)
+        legacy = all_pairs(seqs, FullDpDistance())
         new = all_pairs(seqs, "full-dp")
         assert legacy.tobytes() == new.tobytes()
 
@@ -135,19 +130,6 @@ class TestTransforms:
     def test_unknown_transform(self):
         with pytest.raises(ValueError):
             identity_to_distance(np.array([0.5]), "log")
-
-    def test_legacy_delegates_are_shared(self):
-        import repro.distance.transforms as t
-        from repro.kmer import distance as kd
-        from repro.msa import distances as md
-
-        x = np.array([0.1, 0.6])
-        assert np.array_equal(
-            kd.fractional_identity_estimate(x),
-            t.fractional_identity_estimate(x),
-        )
-        assert md.kimura_distance is t.kimura_distance
-        assert md.alignment_identity_matrix is t.alignment_identity_matrix
 
 
 class TestRegistry:

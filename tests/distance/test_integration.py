@@ -5,7 +5,7 @@ import pytest
 
 import repro
 from repro.distance import DistanceConfig, KtupleDistance
-from repro.engine import AlignRequest
+from repro.engine import AlignRequest, get_engine
 from repro.engine.registry import engine_distance_options
 from repro.msa import (
     CenterStar,
@@ -47,10 +47,12 @@ class TestBaselineSeam:
         par = ParallelClustalW().align(tiny_seqs, n_procs=4)
         assert serial.alignment.to_fasta() == par.alignment.to_fasta()
 
-    def test_clustalw_distance_name_equals_legacy_mode(self, tiny_seqs):
-        by_mode = ClustalWLike(distance_mode="full").align(tiny_seqs)
+    def test_clustalw_full_preset_equals_distance_name(self, tiny_seqs):
+        request = AlignRequest(tuple(tiny_seqs), engine="clustalw-full")
+        preset = get_engine("clustalw-full").run(request).alignment
         by_name = ClustalWLike(distance="full-dp").align(tiny_seqs)
-        assert by_mode == by_name
+        assert preset == by_name
+        assert preset.to_fasta() == by_name.to_fasta()
 
     def test_distance_config_value(self, tiny_seqs):
         cfg = DistanceConfig(estimator="ktuple", k=3, backend="threads",
@@ -147,8 +149,7 @@ class TestGatewaySeam:
         )
         with AlignmentGateway(
             n_workers=1,
-            default_distance="ktuple",
-            default_distance_backend="threads",
+            defaults={"distance": "ktuple", "distance_backend": "threads"},
         ) as gw:
             ticket = gw.submit(request)
             assert ticket.request_hash == expected.content_hash()
@@ -161,7 +162,7 @@ class TestGatewaySeam:
             engine_kwargs={"distance": "kmer-fraction"},
         )
         with AlignmentGateway(
-            n_workers=1, default_distance="ktuple"
+            n_workers=1, defaults={"distance": "ktuple"}
         ) as gw:
             ticket = gw.submit(request)
             assert ticket.request_hash == request.content_hash()
@@ -170,8 +171,7 @@ class TestGatewaySeam:
         request = AlignRequest(tuple(tiny_seqs), engine="tcoffee")
         with AlignmentGateway(
             n_workers=1,
-            default_distance="full-dp",
-            default_distance_backend="threads",
+            defaults={"distance": "full-dp", "distance_backend": "threads"},
         ) as gw:
             ticket = gw.submit(request)
             assert ticket.request_hash == request.content_hash()
@@ -186,7 +186,7 @@ class TestGatewaySeam:
             engine_kwargs={"distance_backend": "threads"},
         )
         with AlignmentGateway(
-            n_workers=1, default_distance_backend="threads"
+            n_workers=1, defaults={"distance_backend": "threads"}
         ) as gw:
             t1 = gw.submit(plain)
             t2 = gw.submit(explicit)
@@ -195,31 +195,59 @@ class TestGatewaySeam:
 
     def test_bad_defaults_rejected(self):
         with pytest.raises(ValueError):
-            AlignmentGateway(n_workers=1, default_distance="nope")
+            AlignmentGateway(n_workers=1, defaults={"distance": "nope"})
         with pytest.raises(ValueError):
-            AlignmentGateway(n_workers=1, default_distance_backend="gpu")
+            AlignmentGateway(n_workers=1, defaults={"distance_backend": "gpu"})
 
     def test_metrics_expose_distance_defaults(self):
         with AlignmentGateway(
             n_workers=1,
-            default_distance="ktuple",
-            default_distance_backend="threads",
+            defaults={"distance": "ktuple", "distance_backend": "threads"},
         ) as gw:
             m = gw.metrics()
             assert m["default_distance"] == "ktuple"
             assert m["default_distance_backend"] == "threads"
+
+    def test_metrics_expose_placement_defaults(self, tmp_path):
+        store = str(tmp_path / "Tiles")
+        with AlignmentGateway(
+            n_workers=1,
+            defaults={"distance_out": "MemMap", "distance_store_dir": store},
+        ) as gw:
+            m = gw.metrics()
+            assert m["default_distance_out"] == "memmap"
+            # A path, not a name: its case is kept.
+            assert m["default_distance_store_dir"] == store
+
+    def test_store_dir_folds_only_with_out(self, tiny_seqs, tmp_path):
+        defaults = {
+            "distance_out": "memmap",
+            "distance_store_dir": str(tmp_path / "tiles"),
+        }
+        plain = AlignRequest(tuple(tiny_seqs), engine="center-star")
+        own_out = AlignRequest(
+            tuple(tiny_seqs),
+            engine="center-star",
+            engine_kwargs={"distance_out": "condensed"},
+        )
+        folded = AlignRequest(
+            tuple(tiny_seqs), engine="center-star", engine_kwargs=defaults
+        )
+        with AlignmentGateway(n_workers=1, defaults=defaults) as gw:
+            ticket = gw.submit(plain)
+            assert ticket.request_hash == folded.content_hash()
+            assert gw.submit(own_out).request_hash == own_out.content_hash()
+            ticket.wait(30)
 
     def test_defaults_case_normalised(self, tiny_seqs):
         """'KTuple' and 'ktuple' defaults must not split cache keys."""
         request = AlignRequest(tuple(tiny_seqs), engine="center-star")
         with AlignmentGateway(
             n_workers=1,
-            default_distance="KTuple",
-            default_distance_backend="Threads",
+            defaults={"distance": "KTuple", "distance_backend": "Threads"},
         ) as upper, AlignmentGateway(
             n_workers=1,
-            default_distance="ktuple",
-            default_distance_backend="threads",
+            defaults={"distance": "ktuple", "distance_backend": "threads"},
         ) as lower:
             assert (
                 upper.submit(request).request_hash

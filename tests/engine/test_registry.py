@@ -12,18 +12,18 @@ from repro.engine import (
 )
 from repro.engine.registry import (
     available_sequential_aligners,
+    get_sequential_aligner,
     register_sequential_aligner,
+    unregister_sequential_aligner,
 )
-from repro.msa import available_aligners, get_aligner
 from repro.msa.centerstar import CenterStar
 from repro.msa.parallel_baseline import ParallelClustalW
-from repro.msa.registry import register_aligner, unregister_aligner
 
 
 class TestResolution:
     def test_every_msa_name_is_an_engine(self):
         engines = available_engines()
-        for name in available_aligners():
+        for name in available_sequential_aligners():
             assert engines[name] == "sequential"
 
     def test_distributed_engines_present(self):
@@ -53,7 +53,7 @@ class TestLegacyParity:
          "tcoffee", "probcons", "mafft-nwnsi", "mafft-fftnsi", "center-star"]
     ))
     def test_sequential_matches_legacy(self, name, tiny_seqs):
-        legacy = get_aligner(name).align(tiny_seqs)
+        legacy = get_sequential_aligner(name).align(tiny_seqs)
         unified = align(tiny_seqs, engine=name)
         assert unified.alignment == legacy
         assert unified.engine == name
@@ -63,7 +63,7 @@ class TestLegacyParity:
         covered = set(
             self.test_sequential_matches_legacy.pytestmark[0].args[1]
         )
-        assert covered >= set(available_aligners())
+        assert covered >= set(available_sequential_aligners())
 
     def test_sample_align_d_matches_legacy(self, tiny_seqs):
         legacy = sample_align_d(tiny_seqs, n_procs=2, seed=3)
@@ -104,38 +104,43 @@ class TestPlugins:
             unregister_engine("never-was")
 
     def test_msa_register_mirrors_into_engines(self, tiny_seqs):
-        register_aligner("mirror-test", lambda **kw: CenterStar(**kw))
+        register_sequential_aligner(
+            "mirror-test", lambda **kw: CenterStar(**kw)
+        )
         try:
-            assert "mirror-test" in available_aligners()
+            assert "mirror-test" in available_sequential_aligners()
             assert available_engines()["mirror-test"] == "sequential"
             # Usable through every front door.
-            assert get_aligner("mirror-test").align(tiny_seqs).n_rows == 5
+            aligner = get_sequential_aligner("mirror-test")
+            assert aligner.align(tiny_seqs).n_rows == 5
             assert align(tiny_seqs, engine="mirror-test").alignment.n_rows == 5
         finally:
-            unregister_aligner("mirror-test")
-        assert "mirror-test" not in available_aligners()
+            unregister_sequential_aligner("mirror-test")
+        assert "mirror-test" not in available_sequential_aligners()
         assert "mirror-test" not in available_engines()
 
     def test_msa_register_overwrite(self):
-        register_aligner("swap-test", lambda **kw: CenterStar(**kw))
+        register_sequential_aligner("swap-test", lambda **kw: CenterStar(**kw))
         try:
             with pytest.raises(ValueError, match="already registered"):
-                register_aligner("swap-test", lambda **kw: CenterStar(**kw))
-            register_aligner(
+                register_sequential_aligner(
+                    "swap-test", lambda **kw: CenterStar(**kw)
+                )
+            register_sequential_aligner(
                 "swap-test", lambda **kw: CenterStar(**kw), overwrite=True
             )
         finally:
-            unregister_aligner("swap-test")
+            unregister_sequential_aligner("swap-test")
 
     def test_unregister_aligner_rejects_distributed(self):
         with pytest.raises(KeyError, match="unknown aligner"):
-            unregister_aligner("sample-align-d")
+            unregister_sequential_aligner("sample-align-d")
         assert "sample-align-d" in available_engines()
 
     def test_overwrite_cannot_change_engine_kind(self):
         """A sequential plug-in must not displace a distributed engine."""
         with pytest.raises(ValueError, match="cannot overwrite"):
-            register_aligner(
+            register_sequential_aligner(
                 "sample-align-d", lambda **kw: CenterStar(**kw),
                 overwrite=True,
             )
@@ -144,14 +149,18 @@ class TestPlugins:
     def test_registered_name_valid_as_local_aligner(self, tiny_seqs):
         from repro.core.config import SampleAlignDConfig
 
-        register_aligner("cfg-test", lambda **kw: CenterStar(**kw))
+        register_sequential_aligner("cfg-test", lambda **kw: CenterStar(**kw))
         try:
             cfg = SampleAlignDConfig(local_aligner="cfg-test")
             res = sample_align_d(tiny_seqs, n_procs=2, config=cfg)
             assert res.alignment.n_rows == len(tiny_seqs)
         finally:
-            unregister_aligner("cfg-test")
+            unregister_sequential_aligner("cfg-test")
 
     def test_sequential_section_view(self):
-        assert set(available_sequential_aligners()) == set(available_aligners())
+        sequential = {
+            name for name, kind in available_engines().items()
+            if kind == "sequential"
+        }
+        assert set(available_sequential_aligners()) == sequential
         assert "sample-align-d" not in available_sequential_aligners()

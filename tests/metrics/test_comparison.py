@@ -3,8 +3,8 @@
 import pytest
 
 from repro.datagen.prefab import make_prefab_like
+from repro.engine.registry import get_sequential_aligner
 from repro.metrics import compare_methods
-from repro.msa import get_aligner
 
 
 @pytest.fixture(scope="module")
@@ -17,8 +17,8 @@ def cases():
 @pytest.fixture(scope="module")
 def report(cases):
     methods = {
-        "muscle-draft": get_aligner("muscle-draft").align,
-        "center-star": get_aligner("center-star").align,
+        "muscle-draft": get_sequential_aligner("muscle-draft").align,
+        "center-star": get_sequential_aligner("center-star").align,
     }
     return compare_methods(cases, methods)
 
@@ -41,7 +41,7 @@ class TestCompareMethods:
         assert "mean Q" in table and "muscle-draft" in table
 
     def test_pair_only_protocol(self, cases):
-        methods = {"center-star": get_aligner("center-star").align}
+        methods = {"center-star": get_sequential_aligner("center-star").align}
         rep = compare_methods(cases, methods, pair_only=True)
         assert len(rep.results["center-star"].q_scores) == 3
 

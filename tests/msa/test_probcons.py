@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.align.pairhmm import PairHmmParams, match_posteriors, mea_align
+from repro.engine.registry import get_sequential_aligner
 from repro.metrics import qscore
-from repro.msa import get_aligner
 from repro.msa.probcons import ProbConsLike
 from repro.seq.sequence import Sequence
 
@@ -133,7 +133,7 @@ class TestPairHmm:
 
 class TestProbConsLike:
     def test_registry(self):
-        assert get_aligner("probcons").name == "probcons"
+        assert get_sequential_aligner("probcons").name == "probcons"
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -160,7 +160,9 @@ class TestProbConsLike:
             small_family.reference,
         )
         q_draft = qscore(
-            get_aligner("muscle-draft").align(small_family.sequences),
+            get_sequential_aligner("muscle-draft").align(
+                small_family.sequences
+            ),
             small_family.reference,
         )
         assert q_pc >= q_draft

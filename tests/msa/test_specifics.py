@@ -3,39 +3,40 @@
 import numpy as np
 import pytest
 
-from repro.align.guide_tree import neighbor_joining, upgma
 from repro.align.profile import Profile
 from repro.align.profile_align import ProfileAlignConfig
-from repro.metrics import qscore
-from repro.msa import (
-    ClustalWLike,
-    MafftLike,
-    MuscleLike,
-    TCoffeeLike,
+from repro.distance import (
+    FullDpDistance,
+    KtupleDistance,
     alignment_identity_matrix,
-    full_dp_distance_matrix,
+    all_pairs,
     kimura_distance,
-    ktuple_distance_matrix,
 )
+from repro.engine.registry import (
+    get_sequential_aligner,
+    register_sequential_aligner,
+)
+from repro.metrics import qscore
+from repro.msa import MafftLike, MuscleLike, TCoffeeLike
 from repro.msa.clustalw import clustal_sequence_weights
 from repro.msa.mafft import align_profiles_anchored, fft_anchor_segments
-from repro.msa.registry import get_aligner, register_aligner
 from repro.seq.alignment import Alignment
 from repro.seq.sequence import Sequence
+from repro.tree import get_builder
 
 
 class TestDistances:
     def test_ktuple_diagonal_zero(self, tiny_seqs):
-        d = ktuple_distance_matrix(list(tiny_seqs), k=3)
+        d = all_pairs(list(tiny_seqs), KtupleDistance(k=3))
         assert np.allclose(np.diag(d), 0.0)
 
     def test_full_dp_identical_zero(self):
         seqs = [Sequence("a", "MKTAYI"), Sequence("b", "MKTAYI")]
-        d = full_dp_distance_matrix(seqs)
+        d = all_pairs(seqs, FullDpDistance())
         assert d[0, 1] == pytest.approx(0.0)
 
     def test_full_dp_symmetric(self, tiny_seqs):
-        d = full_dp_distance_matrix(list(tiny_seqs)[:4])
+        d = all_pairs(list(tiny_seqs)[:4], FullDpDistance())
         assert np.allclose(d, d.T)
 
     def test_alignment_identity_matrix(self):
@@ -105,14 +106,14 @@ class TestMuscleStages:
 
 class TestClustalW:
     def test_weights_positive_mean_one(self, tiny_seqs):
-        d = ktuple_distance_matrix(list(tiny_seqs), k=3)
-        tree = neighbor_joining(d, tiny_seqs.ids)
+        d = all_pairs(list(tiny_seqs), KtupleDistance(k=3))
+        tree = get_builder("nj").build(d, tiny_seqs.ids)
         w = clustal_sequence_weights(tree)
         assert (w > 0).all()
         assert w.mean() == pytest.approx(1.0)
 
     def test_weights_single_leaf(self):
-        tree = upgma(np.zeros((1, 1)), ["a"])
+        tree = get_builder("upgma").build(np.zeros((1, 1)), ["a"])
         assert clustal_sequence_weights(tree).tolist() == [1.0]
 
     def test_outlier_gets_higher_weight(self):
@@ -126,13 +127,9 @@ class TestClustalW:
                 [0.9, 0.9, 0.9, 0.0],
             ]
         )
-        tree = neighbor_joining(m, ["a", "b", "c", "out"])
+        tree = get_builder("nj").build(m, ["a", "b", "c", "out"])
         w = clustal_sequence_weights(tree)
         assert w[3] == w.max()
-
-    def test_distance_mode_validation(self):
-        with pytest.raises(ValueError):
-            ClustalWLike(distance_mode="bogus")
 
 
 class TestTCoffee:
@@ -146,7 +143,9 @@ class TestTCoffee:
     def test_library_scores_consistency_wins(self, small_family):
         # Consistency scoring should at least match the draft progressive.
         t = TCoffeeLike().align(small_family.sequences)
-        d = get_aligner("muscle-draft").align(small_family.sequences)
+        d = get_sequential_aligner("muscle-draft").align(
+            small_family.sequences
+        )
         qt = qscore(t, small_family.reference)
         qd = qscore(d, small_family.reference)
         assert qt >= qd - 0.02
@@ -200,24 +199,30 @@ class TestMafft:
 class TestRegistry:
     def test_available(self):
         names = get_available = set()
-        from repro.msa import available_aligners
+        from repro.engine.registry import available_sequential_aligners
 
-        names = set(available_aligners())
+        names = set(available_sequential_aligners())
         assert {"muscle", "clustalw", "tcoffee", "center-star"} <= names
 
     def test_unknown(self):
         with pytest.raises(KeyError, match="unknown aligner"):
-            get_aligner("nope")
+            get_sequential_aligner("nope")
 
     def test_kwargs_passthrough(self):
-        a = get_aligner("muscle", refine_rounds=5)
+        a = get_sequential_aligner("muscle", refine_rounds=5)
         assert a.refine_rounds == 5
 
     def test_register_custom_and_duplicate(self):
         class Custom(MuscleLike):
             name = "custom-test"
 
-        register_aligner("custom-test-xyz", lambda **kw: Custom(**kw))
-        assert get_aligner("custom-test-xyz").name in ("muscle", "custom-test")
+        register_sequential_aligner(
+            "custom-test-xyz", lambda **kw: Custom(**kw)
+        )
+        assert get_sequential_aligner("custom-test-xyz").name in (
+            "muscle", "custom-test"
+        )
         with pytest.raises(ValueError, match="already registered"):
-            register_aligner("custom-test-xyz", lambda **kw: Custom(**kw))
+            register_sequential_aligner(
+                "custom-test-xyz", lambda **kw: Custom(**kw)
+            )

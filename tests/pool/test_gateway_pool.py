@@ -28,7 +28,7 @@ class TestCallerOwnedPool:
     def test_requests_run_on_the_given_pool(self, pool, seqs):
         runs_before = pool.stats()["runs"]
         with AlignmentGateway(
-            n_workers=1, default_backend="pool", pool=pool
+            n_workers=1, defaults={"backend": "pool"}, pool=pool
         ) as gw:
             result = gw.run(_request(seqs), timeout=120)
             assert result.diagnostics["backend"] == "pool"
@@ -38,7 +38,7 @@ class TestCallerOwnedPool:
 
     def test_metrics_surface_pool_stats(self, pool, seqs):
         with AlignmentGateway(
-            n_workers=1, default_backend="pool", pool=pool
+            n_workers=1, defaults={"backend": "pool"}, pool=pool
         ) as gw:
             gw.run(_request(seqs), timeout=120)
             stats = gw.metrics()["pool"]
@@ -54,7 +54,7 @@ class TestCallerOwnedPool:
 
 class TestGatewayOwnedPool:
     def test_created_warmed_and_closed_with_the_gateway(self, seqs):
-        gw = AlignmentGateway(n_workers=1, default_backend="pool")
+        gw = AlignmentGateway(n_workers=1, defaults={"backend": "pool"})
         try:
             assert gw.pool is not None
             assert gw.pool.stats()["workers_alive"] >= 1  # warmed at start
@@ -68,14 +68,14 @@ class TestGatewayOwnedPool:
 
     def test_default_pool_restored_on_close(self, pool, seqs):
         assert get_default_pool() is pool
-        with AlignmentGateway(n_workers=1, default_backend="pool") as gw:
+        with AlignmentGateway(n_workers=1, defaults={"backend": "pool"}) as gw:
             assert get_default_pool() is gw.pool
             assert get_default_pool() is not pool
         assert get_default_pool() is pool
 
     def test_tree_backend_alone_wants_a_pool(self):
         with AlignmentGateway(
-            n_workers=1, default_tree_backend="pool"
+            n_workers=1, defaults={"tree_backend": "pool"}
         ) as gw:
             assert gw.pool is not None
 
@@ -88,7 +88,7 @@ class TestGatewayOwnedPool:
 class TestCrashSurvival:
     def test_gateway_keeps_serving_after_a_worker_dies(self, pool, seqs):
         with AlignmentGateway(
-            n_workers=1, default_backend="pool", pool=pool
+            n_workers=1, defaults={"backend": "pool"}, pool=pool
         ) as gw:
             gw.run(_request(seqs), timeout=120)
             victim = gw.metrics()["pool"]["worker_pids"][0]

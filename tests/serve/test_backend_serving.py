@@ -10,6 +10,9 @@ from repro.engine import AlignRequest
 from repro.serve import AlignmentGateway
 from repro.serve.httpd import serve_in_thread
 
+#: Gateway defaults that put plain Sample-Align-D requests on processes.
+PROCESSES = {"backend": "processes"}
+
 
 @pytest.fixture()
 def seqs(small_family):
@@ -29,7 +32,7 @@ def _post(port, payload, timeout=120):
 
 class TestGatewayDefaultBackend:
     def test_unopinionated_request_inherits_default(self, seqs):
-        with AlignmentGateway(n_workers=1, default_backend="processes") as gw:
+        with AlignmentGateway(n_workers=1, defaults=PROCESSES) as gw:
             request = AlignRequest(
                 sequences=seqs, engine="sample-align-d", n_procs=2
             )
@@ -37,7 +40,7 @@ class TestGatewayDefaultBackend:
         assert result.diagnostics["backend"] == "processes"
 
     def test_explicit_config_wins_over_default(self, seqs):
-        with AlignmentGateway(n_workers=1, default_backend="processes") as gw:
+        with AlignmentGateway(n_workers=1, defaults=PROCESSES) as gw:
             request = AlignRequest(
                 sequences=seqs,
                 engine="sample-align-d",
@@ -48,7 +51,7 @@ class TestGatewayDefaultBackend:
         assert result.diagnostics["backend"] == "threads"
 
     def test_sequential_requests_untouched(self, seqs):
-        with AlignmentGateway(n_workers=1, default_backend="processes") as gw:
+        with AlignmentGateway(n_workers=1, defaults=PROCESSES) as gw:
             request = AlignRequest(sequences=seqs, engine="center-star")
             ticket = gw.submit(request)
             # The request must pass through unrewritten: same hash.
@@ -57,7 +60,7 @@ class TestGatewayDefaultBackend:
 
     def test_rewrite_happens_before_coalescing(self, seqs):
         """An explicit-processes request coalesces with a defaulted one."""
-        with AlignmentGateway(n_workers=1, default_backend="processes") as gw:
+        with AlignmentGateway(n_workers=1, defaults=PROCESSES) as gw:
             plain = AlignRequest(
                 sequences=seqs, engine="sample-align-d", n_procs=2
             )
@@ -75,10 +78,10 @@ class TestGatewayDefaultBackend:
 
     def test_bad_default_backend_rejected(self):
         with pytest.raises(ValueError, match="not a registered execution"):
-            AlignmentGateway(n_workers=1, default_backend="gpu")
+            AlignmentGateway(n_workers=1, defaults={"backend": "gpu"})
 
     def test_metrics_expose_default_backend(self, seqs):
-        with AlignmentGateway(n_workers=1, default_backend="processes") as gw:
+        with AlignmentGateway(n_workers=1, defaults=PROCESSES) as gw:
             assert gw.metrics()["default_backend"] == "processes"
         with AlignmentGateway(n_workers=1) as gw:
             assert gw.metrics()["default_backend"] is None
@@ -120,7 +123,7 @@ class TestHttpBackendSelection:
         assert body["result"]["diagnostics"]["backend"] == "processes"
 
     def test_gateway_default_reaches_http_clients(self, seqs):
-        with AlignmentGateway(n_workers=1, default_backend="processes") as gw:
+        with AlignmentGateway(n_workers=1, defaults=PROCESSES) as gw:
             server, thread = serve_in_thread(gw)
             try:
                 request = AlignRequest(

@@ -29,7 +29,7 @@ class TestParser:
 
     def test_align_defaults(self):
         args = build_parser().parse_args(["align", "x.fasta"])
-        assert args.procs == 4 and args.aligner is None
+        assert args.procs == 4 and args.engine is None
 
 
 class TestCommands:
@@ -65,7 +65,7 @@ class TestCommands:
         assert "Sample-Align-D" in capsys.readouterr().err
 
     def test_align_sequential(self, fasta_file, capsys):
-        rc = main(["align", str(fasta_file), "--aligner", "center-star"])
+        rc = main(["align", str(fasta_file), "--engine", "center-star"])
         assert rc == 0
         captured = capsys.readouterr()
         assert captured.out.startswith(">a")
@@ -87,14 +87,6 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out.startswith(">a")
         assert "parallel-baseline" in captured.err
-
-    def test_align_engine_and_aligner_conflict(self, fasta_file, capsys):
-        rc = main(
-            ["align", str(fasta_file), "--engine", "muscle",
-             "--aligner", "clustalw"]
-        )
-        assert rc == 2
-        assert "mutually exclusive" in capsys.readouterr().err
 
     def test_align_unknown_engine(self, fasta_file, capsys):
         rc = main(["align", str(fasta_file), "--engine", "nope"])

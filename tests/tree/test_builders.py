@@ -5,7 +5,7 @@ import pytest
 import scipy.cluster.hierarchy as sch
 from scipy.spatial.distance import squareform
 
-from repro.align.guide_tree import GuideTree, neighbor_joining, upgma, wpgma
+from repro.align.guide_tree import GuideTree
 from repro.tree import (
     DEFAULT_BUILDER,
     NeighborJoiningBuilder,
@@ -13,6 +13,7 @@ from repro.tree import (
     TreeBuilder,
     TreeConfig,
     UpgmaBuilder,
+    WpgmaBuilder,
     available_builders,
     builder_info,
     get_builder,
@@ -116,10 +117,11 @@ class TestBuilderMath:
     def test_legacy_delegates_agree_with_registry(self):
         m = random_distance_matrix(8, 42)
         labels = [f"s{i}" for i in range(8)]
-        for legacy, name in (
-            (upgma, "upgma"), (wpgma, "wpgma"), (neighbor_joining, "nj"),
+        for cls, name in (
+            (UpgmaBuilder, "upgma"), (WpgmaBuilder, "wpgma"),
+            (NeighborJoiningBuilder, "nj"),
         ):
-            a = legacy(m, labels)
+            a = cls().build(m, labels)
             b = get_builder(name).build(m, labels)
             assert a.merges.tobytes() == b.merges.tobytes()
             assert a.heights.tobytes() == b.heights.tobytes()

@@ -75,11 +75,9 @@ class TestAllModesIdentical:
         assert threads == serial
 
     def test_larger_family_processes(self, small_family):
-        from repro.align.guide_tree import upgma
-
         seqs = list(small_family.sequences)
         d = all_pairs(seqs, "ktuple")
-        tree = upgma(d, [s.id for s in seqs])
+        tree = get_builder("upgma").build(d, [s.id for s in seqs])
         serial = progressive_align(seqs, tree).to_fasta()
         procs = progressive_align(
             seqs, tree, backend="processes", workers=2

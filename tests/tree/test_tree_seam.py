@@ -189,9 +189,12 @@ class TestEngineSeam:
         assert result.alignment.n_rows == len(tiny_seqs)
 
     def test_custom_aligner_can_advertise_tree_options(self):
-        from repro.msa.registry import register_aligner, unregister_aligner
+        from repro.engine.registry import (
+            register_sequential_aligner,
+            unregister_sequential_aligner,
+        )
 
-        register_aligner(
+        register_sequential_aligner(
             "tree-capable-test",
             lambda **kw: CenterStar(**kw),
             tree_options=("tree", "tree_backend"),
@@ -201,7 +204,7 @@ class TestEngineSeam:
                 "tree", "tree_backend"
             }
         finally:
-            unregister_aligner("tree-capable-test")
+            unregister_sequential_aligner("tree-capable-test")
 
 
 class TestGatewaySeam:
@@ -214,8 +217,7 @@ class TestGatewaySeam:
         )
         with AlignmentGateway(
             n_workers=1,
-            default_tree="upgma",
-            default_tree_backend="threads",
+            defaults={"tree": "upgma", "tree_backend": "threads"},
         ) as gw:
             ticket = gw.submit(request)
             assert ticket.request_hash == expected.content_hash()
@@ -227,7 +229,7 @@ class TestGatewaySeam:
             engine="center-star",
             engine_kwargs={"tree": "nj"},
         )
-        with AlignmentGateway(n_workers=1, default_tree="upgma") as gw:
+        with AlignmentGateway(n_workers=1, defaults={"tree": "upgma"}) as gw:
             ticket = gw.submit(request)
             assert ticket.request_hash == request.content_hash()
 
@@ -235,8 +237,7 @@ class TestGatewaySeam:
         request = AlignRequest(tuple(tiny_seqs), engine="tcoffee")
         with AlignmentGateway(
             n_workers=1,
-            default_tree="nj",
-            default_tree_backend="threads",
+            defaults={"tree": "nj", "tree_backend": "threads"},
         ) as gw:
             ticket = gw.submit(request)
             assert ticket.request_hash == request.content_hash()
@@ -249,7 +250,7 @@ class TestGatewaySeam:
             engine_kwargs={"tree_backend": "threads"},
         )
         with AlignmentGateway(
-            n_workers=1, default_tree_backend="threads"
+            n_workers=1, defaults={"tree_backend": "threads"}
         ) as gw:
             t1 = gw.submit(plain)
             t2 = gw.submit(explicit)
@@ -258,15 +259,14 @@ class TestGatewaySeam:
 
     def test_bad_defaults_rejected(self):
         with pytest.raises(ValueError):
-            AlignmentGateway(n_workers=1, default_tree="nope")
+            AlignmentGateway(n_workers=1, defaults={"tree": "nope"})
         with pytest.raises(ValueError):
-            AlignmentGateway(n_workers=1, default_tree_backend="gpu")
+            AlignmentGateway(n_workers=1, defaults={"tree_backend": "gpu"})
 
     def test_metrics_expose_tree_defaults(self):
         with AlignmentGateway(
             n_workers=1,
-            default_tree="nj",
-            default_tree_backend="threads",
+            defaults={"tree": "nj", "tree_backend": "threads"},
         ) as gw:
             m = gw.metrics()
             assert m["default_tree"] == "nj"
@@ -275,11 +275,9 @@ class TestGatewaySeam:
     def test_defaults_case_normalised(self, tiny_seqs):
         request = AlignRequest(tuple(tiny_seqs), engine="center-star")
         with AlignmentGateway(
-            n_workers=1, default_tree="UPGMA",
-            default_tree_backend="Threads",
+            n_workers=1, defaults={"tree": "UPGMA", "tree_backend": "Threads"},
         ) as upper, AlignmentGateway(
-            n_workers=1, default_tree="upgma",
-            default_tree_backend="threads",
+            n_workers=1, defaults={"tree": "upgma", "tree_backend": "threads"},
         ) as lower:
             assert (
                 upper.submit(request).request_hash
